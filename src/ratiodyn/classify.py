@@ -7,8 +7,9 @@ is reported as undetermined rather than guessed.
 from __future__ import annotations
 
 import dataclasses
-import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .criteria import S_second_at_q, R_second_at_1, kappa, l_quantity
 from .cycles import TwoCycle, find_two_cycles
@@ -35,10 +36,11 @@ from .simulate import (
     DEFAULT_ZERO_GUARD,
     INCREASING,
     RatioTrajectory,
-    SolutionTrajectory,
     COMPLETED,
+    advance_ratio,
     detect_ratio_limit,
     empirical_class,
+    solution_trajectory,
     subsequence_monotonicity,
 )
 
@@ -220,29 +222,15 @@ def classify_remark(params: Parameters, tol: float = 1e-9) -> Verdict | None:
     return None
 
 
-def _solution_from_ratios(x_minus1, x0, ratio_values):
-    logs = [math.log10(abs(x_minus1)), math.log10(abs(x0))]
-    signs = [1 if x_minus1 > 0 else -1, 1 if x0 > 0 else -1]
-    for t in ratio_values[1:]:
-        logs.append(logs[-1] + math.log10(abs(t)))
-        signs.append(signs[-1] * (1 if t > 0 else -1))
-    return SolutionTrajectory(
-        log_magnitudes=logs, signs=signs, ratios=list(ratio_values), status=COMPLETED
-    )
-
-
 def _landing_index(values, points):
     """First step at which the orbit sits on the limit set (1e-12 relative)
     and never leaves; None if it leaves again or lands too late."""
     def on_limit(t):
         return any(abs(t - v) <= LANDING_TOL * max(1.0, abs(v)) for v in points)
 
-    first = None
-    for k, t in enumerate(values):
-        if on_limit(t):
-            first = k
-            break
-    if first is None or first > LANDING_STEPS or first > len(values) - 2:
+    window = values[: LANDING_STEPS + 1]
+    first = next((k for k, t in enumerate(window) if on_limit(t)), None)
+    if first is None or first > len(values) - 2:
         return None
     if all(on_limit(t) for t in values[first:]):
         return first
@@ -280,7 +268,9 @@ def _proximity_identify(values, eqs, cycles):
     late = values[n - quarter :]
 
     def errs(vals, pts):
-        return sum(min(abs(t - v) for v in pts) for t in vals) / len(vals)
+        # per point the distance of each t from it; for a cycle, the nearer one
+        dists = [map(abs, map(operator.sub, vals, repeat(v))) for v in pts]
+        return sum(map(min, *dists) if len(dists) > 1 else dists[0]) / len(vals)
 
     best = None
     for obj, pts in [(e, (e.value,)) for e in eqs] + [
@@ -321,26 +311,14 @@ def classify(
 
     t = x0 / x_minus1
     values = [t]
-    det = None
     chunk = 1024
-    stopped_at_zero = False
-    while len(values) - 1 < budget:
-        steps = min(chunk, budget - (len(values) - 1))
-        for _ in range(steps):
-            if abs(t) < zero_guard:
-                stopped_at_zero = True
-                break
-            t = (((a * t + b) * t + c) * t + d) / (t * t * t)
-            values.append(t)
-        if stopped_at_zero:
-            break
+    for done in range(0, budget, chunk):
+        t, stopped = advance_ratio(params, t, min(chunk, budget - done), zero_guard, values)
+        if stopped:
+            return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol, window)
         if det.kind != "none":
             break
-    if stopped_at_zero:
-        return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
-    if det is None:
-        det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol, window)
 
     eq = cyc = None
     if det.kind == "equilibrium":
@@ -379,7 +357,7 @@ def classify(
         sigma = b + 2.0 * c + 3.0 * d
         if abs(eq.value - 1.0) <= band and abs(abs(sigma) - 1.0) <= 1e-9:
             evidence = subsequence_monotonicity(
-                _solution_from_ratios(x_minus1, x0, values), 1, 0
+                solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
         v = classify_equilibrium_limit(params, eq, evidence, band=band)
         return dataclasses.replace(v, notes="; ".join([v.notes] + notes).strip("; "))
@@ -393,7 +371,7 @@ def classify(
             )
         evidence = None
         if abs(cyc.product - 1.0) <= 1e-6 and abs(abs(cyc.multiplier) - 1.0) <= 1e-6:
-            straj = _solution_from_ratios(x_minus1, x0, values)
+            straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None

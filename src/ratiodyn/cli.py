@@ -227,7 +227,7 @@ def _cmd_classify(args, out):
     return 0
 
 
-def _sweep_grid(spec, count_hint=None):
+def _sweep_grid(spec):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("--c-range must be lo:hi:count")

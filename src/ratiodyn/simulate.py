@@ -8,7 +8,8 @@ is readable); direct-space values are reconstructed only on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, islice, takewhile
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -24,7 +25,9 @@ __all__ = [
     "RatioTrajectory",
     "SolutionTrajectory",
     "LimitReport",
+    "advance_ratio",
     "iterate_ratio",
+    "solution_trajectory",
     "iterate_solution",
     "detect_ratio_limit",
     "empirical_class",
@@ -91,8 +94,29 @@ class LimitReport:
     residual: float
 
 
-def _phi_terms(params):
-    return params.a, params.b, params.c, params.d
+def advance_ratio(params, t, n, zero_guard, out):
+    """Apply the ratio map up to n times from t, appending each new ratio to out.
+
+    Before each step, |t| under zero_guard stops the walk.  Returns the last
+    ratio and whether the walk stopped there.
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
+    for _ in range(n):
+        if abs(t) < zero_guard:
+            return t, True
+        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
+        out.append(t)
+    return t, False
+
+
+def _log_magnitudes(lm0, ratios):
+    """lm0, then each running sum lm0 + log10 |t| over the ratios, left to right."""
+    return accumulate(map(math.log10, map(abs, ratios)), initial=lm0)
+
+
+def _signs(s, ratios):
+    """s, then the running sign, flipped at each ratio that is not positive."""
+    return [s, *[(s := s if t > 0 else -s) for t in ratios]]
 
 
 def iterate_ratio(
@@ -110,27 +134,34 @@ def iterate_ratio(
         raise ValueError("t0 must be nonzero")
     if zero_guard <= 0.0:
         raise ValueError("zero_guard must be positive")
-    a, b, c, d = _phi_terms(params)
     values = [t0]
-    t = t0
-    status = COMPLETED
-    for _ in range(n):
-        if abs(t) < zero_guard:
-            status = HIT_ZERO
-            break
-        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
-        values.append(t)
-    else:
+    _, stopped = advance_ratio(params, t0, n, zero_guard, values)
+    if stopped:
+        status = HIT_ZERO
+    elif len(values) > 3 and all(v < 0.0 for v in values[-4:]):
         # a long negative tail means the orbit is outside the recovery region
-        trailing_neg = 0
-        for v in reversed(values):
-            if v < 0.0:
-                trailing_neg += 1
-            else:
-                break
-        if trailing_neg > 3:
-            status = ESCAPED_NEGATIVE
+        status = ESCAPED_NEGATIVE
+    else:
+        status = COMPLETED
     return RatioTrajectory(values=values, status=status)
+
+
+def solution_trajectory(x_minus1: float, x0: float, rt: RatioTrajectory) -> SolutionTrajectory:
+    """The solution orbit from x_{-1}, x_0 whose ratios are ``rt.values``.
+
+    The logs stop before the first magnitude that is not a finite float
+    (status ``overflowed_budget``); the ratios are kept whole.
+    """
+    mags = _log_magnitudes(math.log10(abs(x0)), islice(rt.values, 1, None))
+    logs = [math.log10(abs(x_minus1)), next(mags), *takewhile(math.isfinite, mags)]
+    kept = islice(rt.values, 1, len(logs) - 1)
+    signs = [1 if x_minus1 > 0 else -1, *_signs(1 if x0 > 0 else -1, kept)]
+    status = OVERFLOWED_BUDGET if len(logs) < len(rt.values) + 1 else COMPLETED
+    if rt.status == HIT_ZERO:
+        status = STOPPED_DIVISION_BY_ZERO
+    return SolutionTrajectory(
+        log_magnitudes=logs, signs=signs, ratios=rt.values, status=status
+    )
 
 
 def iterate_solution(
@@ -143,22 +174,8 @@ def iterate_solution(
     """Orbit of the second-order equation in log-magnitude + sign form."""
     if x_minus1 == 0.0 or x0 == 0.0:
         raise ValueError("initial conditions must be nonzero")
-    t0 = x0 / x_minus1
-    rt = iterate_ratio(params, t0, n, zero_guard)
-    logs = [math.log10(abs(x_minus1)), math.log10(abs(x0))]
-    signs = [1 if x_minus1 > 0 else -1, 1 if x0 > 0 else -1]
-    status = COMPLETED
-    for t in rt.values[1:]:
-        lm = logs[-1] + math.log10(abs(t))
-        if not math.isfinite(lm):
-            status = OVERFLOWED_BUDGET
-            break
-        logs.append(lm)
-        signs.append(signs[-1] * (1 if t > 0 else -1))
-    if rt.status == HIT_ZERO:
-        status = STOPPED_DIVISION_BY_ZERO
-    return SolutionTrajectory(
-        log_magnitudes=logs, signs=signs, ratios=rt.values, status=status
+    return solution_trajectory(
+        x_minus1, x0, iterate_ratio(params, x0 / x_minus1, n, zero_guard)
     )
 
 
@@ -246,32 +263,31 @@ def empirical_class(
         raise ValueError("need budget >= 1000")
     if x_minus1 == 0.0 or x0 == 0.0:
         raise ValueError("initial conditions must be nonzero")
-    a, b, c, d = _phi_terms(params)
     t = x0 / x_minus1
-    lm = math.log10(abs(x0))
-    sign = 1 if x0 > 0 else -1
-    logs = [lm]
-    signs = [sign]
+    logs = [math.log10(abs(x0))]
+    signs = [1 if x0 > 0 else -1]
     check_every = max(window, 256)
-    for step in range(1, budget + 1):
-        if abs(t) < zero_guard:
+    for done in range(0, budget, check_every):
+        ratios = []
+        t, stopped = advance_ratio(params, t, min(check_every, budget - done), zero_guard, ratios)
+        start = len(logs)
+        logs[-1:] = _log_magnitudes(logs[-1], ratios)
+        if not math.isfinite(logs[-1]):
+            # a sum that left the finite floats never returns; the first one decides
+            lost = next(lm for lm in logs[start:] if not math.isfinite(lm))
+            return DIVERGES_TO_INFINITY if lost > 0 else CONVERGES_TO_ZERO
+        if stopped:
             return ITERATION_STOPS
-        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
-        lm += math.log10(abs(t))
-        if not math.isfinite(lm):
-            return DIVERGES_TO_INFINITY if lm > 0 else CONVERGES_TO_ZERO
-        sign *= 1 if t > 0 else -1
-        logs.append(lm)
-        signs.append(sign)
-        if step % check_every == 0 or step == budget:
-            if lm > theta_up and _trend(logs) > 0.0:
-                return DIVERGES_TO_INFINITY
-            if lm < theta_down and _trend(logs) < 0.0:
-                return CONVERGES_TO_ZERO
-            if len(logs) >= 2 * window:
-                verdict = _stabilized(logs, signs, tol, window)
-                if verdict is not None:
-                    return verdict
+        signs[-1:] = _signs(signs[-1], ratios)
+        lm = logs[-1]
+        if lm > theta_up and _trend(logs) > 0.0:
+            return DIVERGES_TO_INFINITY
+        if lm < theta_down and _trend(logs) < 0.0:
+            return CONVERGES_TO_ZERO
+        if len(logs) >= 2 * window:
+            verdict = _stabilized(logs, signs, tol, window)
+            if verdict is not None:
+                return verdict
     return UNDETERMINED
 
 

@@ -9,12 +9,14 @@ from ratiodyn.classify import (
     FOUR_PHASE_ALTERNATING,
     FOUR_PHASE_DECREASING,
     FOUR_PHASE_INCREASING,
+    LANDING_STEPS,
     WHOLE_MONOTONE,
     Verdict,
     classify,
     classify_cycle_limit,
     classify_equilibrium_limit,
     classify_remark,
+    _landing_index,
 )
 from ratiodyn.cycles import find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
@@ -239,3 +241,18 @@ def test_classify_validates_inputs():
         classify(UNIT_CYCLE_EXAMPLE, -1.0, 1.0)
     with pytest.raises(ValueError):
         classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, budget=0)
+
+
+def test_landing_index_window():
+    stay = [1.0] * 100
+    assert _landing_index([2.0] * LANDING_STEPS + stay, (1.0,)) == LANDING_STEPS
+    assert _landing_index([2.0] * (LANDING_STEPS + 1) + stay, (1.0,)) is None
+    # landing on either point of a cycle counts
+    assert _landing_index([3.0] + [0.5, 2.0] * 50, (0.5, 2.0)) == 1
+    # 1e-11 away is not on the limit
+    assert _landing_index([1.0 + 1e-11] * 100, (1.0,)) is None
+
+
+def test_landing_index_rejects_an_orbit_that_leaves():
+    assert _landing_index([2.0] * 5 + [1.0] * 20 + [1.5] + [1.0] * 10, (1.0,)) is None
+    assert _landing_index([2.0] * 5 + [1.0] * 20 + [2.0], (1.0,)) is None

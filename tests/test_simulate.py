@@ -12,9 +12,12 @@ from ratiodyn.ratio_map import Parameters, phi
 from ratiodyn.simulate import (
     COMPLETED,
     DECREASING,
+    ESCAPED_NEGATIVE,
     HIT_ZERO,
     INCREASING,
     MIXED,
+    OVERFLOWED_BUDGET,
+    STOPPED_DIVISION_BY_ZERO,
     RatioTrajectory,
     SolutionTrajectory,
     detect_ratio_limit,
@@ -41,6 +44,35 @@ def test_iterate_ratio_zero_guard():
     traj = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 10, zero_guard=10.0)
     assert traj.status == HIT_ZERO
     assert traj.values == [1.0]
+
+
+def test_iterate_ratio_escaped_negative():
+    # t = -1 is an attracting equilibrium here (phi'(-1) = 0.35)
+    traj = iterate_ratio(Parameters(0.05, 2.5, 1.5, 0.05), -1.1, 200)
+    assert traj.status == ESCAPED_NEGATIVE
+    assert len(traj.values) == 201
+    assert traj.values[-1] == pytest.approx(-1.0)
+
+
+def test_solution_zero_guard_stop_keeps_ratios():
+    # the odd ratios fall 0.89, 0.886, 0.882, 0.878: the guard 0.88 stops at
+    # step 7, before phi is applied to the ratio under it
+    traj = iterate_solution(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 50, zero_guard=0.88)
+    assert traj.status == STOPPED_DIVISION_BY_ZERO
+    assert traj.ratios == iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 50, zero_guard=0.88).values
+    assert len(traj.ratios) == 8
+    assert abs(traj.ratios[-1]) < 0.88 <= min(abs(t) for t in traj.ratios[:-1])
+    assert len(traj.log_magnitudes) == len(traj.signs) == len(traj.ratios) + 1
+
+
+def test_solution_overflow_stops_logs_not_ratios():
+    # d / t^3 overflows to inf at the first step, and inf maps to nan
+    traj = iterate_solution(NEUTRAL_EXAMPLE, 1.0, 1e-105, 20)
+    assert traj.status == OVERFLOWED_BUDGET
+    assert len(traj.ratios) == 21
+    assert traj.ratios[1] == math.inf
+    assert traj.log_magnitudes == [0.0, -105.0]
+    assert traj.signs == [1, 1]
 
 
 def test_solution_logs_accumulate_ratios():
@@ -144,6 +176,12 @@ def test_monotonicity_even_odd_split():
     )
     assert subsequence_monotonicity(traj, 2, 0) == INCREASING
     assert subsequence_monotonicity(traj, 2, 1) == INCREASING
+
+
+def test_empirical_zero_guard_stops():
+    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=10.0) == ITERATION_STOPS
+    # a stop inside the first block of steps, before any evidence is checked
+    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=0.88) == ITERATION_STOPS
 
 
 def test_empirical_budget_validation():
