@@ -23,6 +23,8 @@ from .outcomes import (
     UNDETERMINED,
 )
 from .ratio_map import (
+    EPS_CRIT,
+    EPS_SEARCHED,
     Equilibrium,
     Parameters,
     classify_multiplier,
@@ -78,12 +80,17 @@ class Verdict:
     notes: str = ""
 
 
+def _unit_band(params):
+    """The band within which an equilibrium counts as t = 1: the searched band
+    only when the quartic actually has a root at 1 (the coefficients sum to 1)."""
+    at_one = abs(params.a + params.b + params.c + params.d - 1.0) <= EPS_CRIT
+    return EPS_SEARCHED if at_one else EPS_CRIT
+
+
 def classify_equilibrium_limit(
     params: Parameters,
     eq: Equilibrium,
     orbit_evidence: str | None = None,
-    band: float = 1e-9,
-    eps_crit: float = 1e-9,
 ) -> Verdict:
     """Verdict for an orbit whose ratios converge to the equilibrium ``eq``.
 
@@ -94,18 +101,19 @@ def classify_equilibrium_limit(
     t = eq.value
     if abs(phi(params, t) - t) > 1e-6 * max(1.0, abs(t)):
         raise ValueError(f"{t!r} is not an equilibrium of the ratio map")
+    band = _unit_band(params)
     if t > 1.0 + band:
         return Verdict(DIVERGES_TO_INFINITY, "T1.a")
     if t < 1.0 - band:
         return Verdict(CONVERGES_TO_ZERO, "T1.b")
     a, b, c, d = params.a, params.b, params.c, params.d
-    if abs(a + b + c + d - 1.0) > 1e-9:
+    if abs(a + b + c + d - 1.0) > EPS_CRIT:
         raise ValueError("equilibrium at 1 requires a + b + c + d = 1")
     sigma = b + 2.0 * c + 3.0 * d
-    if abs(sigma) < 1.0 - eps_crit:
+    if abs(sigma) < 1.0 - EPS_CRIT:
         structure = EVEN_ODD_OPPOSITE if sigma > 0.0 else WHOLE_MONOTONE
         return Verdict(CONVERGES_TO_EQUILIBRIUM, "T1.c1", structure)
-    if abs(sigma + 1.0) <= eps_crit:
+    if abs(sigma + 1.0) <= EPS_CRIT:
         if orbit_evidence == DECREASING:
             return Verdict(CONVERGES_TO_EQUILIBRIUM, "T1.c2", WHOLE_DECREASING)
         if orbit_evidence == INCREASING:
@@ -116,7 +124,7 @@ def classify_equilibrium_limit(
                 notes="increasing with c <= -3d: outcome not covered",
             )
         return Verdict(UNDETERMINED, "T1.c2", notes="no orbit monotonicity evidence")
-    if abs(sigma - 1.0) <= eps_crit:
+    if abs(sigma - 1.0) <= EPS_CRIT:
         if R_second_at_1(params) > 0.0:
             return Verdict(DIVERGES_TO_INFINITY, "T1.c3", EVEN_AND_ODD_INCREASING)
         return Verdict(
@@ -139,13 +147,13 @@ def classify_cycle_limit(
     params: Parameters,
     cycle: TwoCycle,
     orbit_evidence: str | None = None,
-    band: float = 1e-9,
-    eps_crit: float = 1e-9,
 ) -> Verdict:
     """Verdict for an orbit whose ratios converge to the 2-cycle ``cycle``.
 
-    ``orbit_evidence`` is only consulted when the multiplier equals 1, where
-    the theorem branches on whether the even/odd subsequences increase."""
+    Its product and multiplier count as 1 within the searched band, since
+    cycles come out of a root search.  ``orbit_evidence`` is only consulted
+    when the multiplier equals 1, where the theorem branches on whether the
+    even/odd subsequences increase."""
     p, q = cycle.p, cycle.q
     if (
         abs(phi(params, p) - q) > 1e-6 * max(1.0, q)
@@ -153,15 +161,15 @@ def classify_cycle_limit(
     ):
         raise ValueError(f"({p!r}, {q!r}) is not a 2-cycle of the ratio map")
     pq = cycle.product
-    if pq > 1.0 + band:
+    if pq > 1.0 + EPS_SEARCHED:
         return Verdict(DIVERGES_TO_INFINITY, "T2.a")
-    if pq < 1.0 - band:
+    if pq < 1.0 - EPS_SEARCHED:
         return Verdict(CONVERGES_TO_ZERO, "T2.b")
     mu = cycle.multiplier
-    if abs(mu) < 1.0 - eps_crit:
+    if abs(mu) < 1.0 - EPS_SEARCHED:
         structure = FOUR_PHASE_ALTERNATING if mu < 0.0 else EVEN_AND_ODD_MONOTONE
         return Verdict(CONVERGES_TO_TWO_CYCLE, "T2.c1", structure)
-    if abs(mu - 1.0) <= eps_crit:
+    if abs(mu - 1.0) <= EPS_SEARCHED:
         if orbit_evidence == DECREASING:
             return Verdict(CONVERGES_TO_TWO_CYCLE, "T2.c2", EVEN_AND_ODD_MONOTONE)
         if orbit_evidence == INCREASING:
@@ -172,7 +180,7 @@ def classify_cycle_limit(
                 notes="increasing with kappa <= 0: outcome not covered",
             )
         return Verdict(UNDETERMINED, "T2.c2", notes="no orbit monotonicity evidence")
-    if abs(mu + 1.0) <= eps_crit:
+    if abs(mu + 1.0) <= EPS_SEARCHED:
         unit = _as_unit(cycle)
         l = l_quantity(params, unit)
         if l < 0.0:
@@ -290,9 +298,7 @@ def classify(
     x0: float,
     budget: int = 100000,
     tol: float = 1e-8,
-    window: int = 64,
     zero_guard: float = DEFAULT_ZERO_GUARD,
-    cross_check: bool = True,
 ) -> Verdict:
     """Simulate the ratio orbit, identify its limit, and apply the theorems.
 
@@ -305,7 +311,6 @@ def classify(
         raise ValueError("initial conditions must be positive")
     if budget < 1:
         raise ValueError("need budget >= 1")
-    a, b, c, d = params.a, params.b, params.c, params.d
     eqs = equilibria(params)
     cycles = find_two_cycles(params)
 
@@ -316,7 +321,7 @@ def classify(
         t, stopped = advance_ratio(params, t, min(chunk, budget - done), zero_guard, values)
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
-        det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol, window)
+        det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
             break
 
@@ -335,54 +340,40 @@ def classify(
         elif isinstance(hit, TwoCycle):
             cyc = hit
 
-    notes = []
-    if cross_check:
-        oracle = empirical_class(
-            params, x_minus1, x0, max(budget, 1000), tol=tol, window=window,
-            zero_guard=zero_guard,
-        )
-        notes.append(f"oracle={oracle}")
+    oracle = empirical_class(params, x_minus1, x0, max(budget, 1000), tol=tol, zero_guard=zero_guard)
+    note = f"oracle={oracle}"
 
     if eq is not None:
-        # the unit band is only trustworthy when the quartic actually has a
-        # root at 1, i.e. the coefficients sum to 1
-        band = 1e-6 if abs(a + b + c + d - 1.0) <= 1e-9 else 1e-9
+        band = _unit_band(params)
         landed = _landing_index(values, (eq.value,))
         if landed is not None and abs(eq.value - 1.0) <= band:
             return Verdict(
                 CONVERGES_TO_EQUILIBRIUM, "T1.cS",
-                notes="; ".join([f"landed on the equilibrium at step {landed}"] + notes),
+                notes=f"landed on the equilibrium at step {landed}; {note}",
             )
         evidence = None
-        sigma = b + 2.0 * c + 3.0 * d
-        if abs(eq.value - 1.0) <= band and abs(abs(sigma) - 1.0) <= 1e-9:
+        sigma = params.b + 2.0 * params.c + 3.0 * params.d
+        if abs(eq.value - 1.0) <= band and abs(abs(sigma) - 1.0) <= EPS_CRIT:
             evidence = subsequence_monotonicity(
                 solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
-        v = classify_equilibrium_limit(params, eq, evidence, band=band)
-        return dataclasses.replace(v, notes="; ".join([v.notes] + notes).strip("; "))
+        v = classify_equilibrium_limit(params, eq, evidence)
+        return dataclasses.replace(v, notes="; ".join([v.notes, note]).strip("; "))
 
     if cyc is not None:
         landed = _landing_index(values, (cyc.p, cyc.q))
-        if landed is not None and abs(cyc.product - 1.0) <= 1e-6:
+        if landed is not None and cyc.unit_product:
             return Verdict(
                 CONVERGES_TO_TWO_CYCLE, "T2.cS",
-                notes="; ".join([f"landed on the 2-cycle at step {landed}"] + notes),
+                notes=f"landed on the 2-cycle at step {landed}; {note}",
             )
         evidence = None
-        if abs(cyc.product - 1.0) <= 1e-6 and abs(abs(cyc.multiplier) - 1.0) <= 1e-6:
+        if cyc.unit_product and abs(abs(cyc.multiplier) - 1.0) <= EPS_SEARCHED:
             straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None
-        v = classify_cycle_limit(params, cyc, evidence, band=1e-6, eps_crit=1e-6)
-        return dataclasses.replace(v, notes="; ".join([v.notes] + notes).strip("; "))
+        v = classify_cycle_limit(params, cyc, evidence)
+        return dataclasses.replace(v, notes="; ".join([v.notes, note]).strip("; "))
 
-    if not cross_check:
-        oracle = empirical_class(
-            params, x_minus1, x0, max(budget, 1000), tol=tol, window=window,
-            zero_guard=zero_guard,
-        )
-        notes.append(f"oracle={oracle}")
-    oracle = notes[-1].split("=", 1)[1]
     return Verdict(oracle, "oracle", notes="no ratio limit identified within budget")

@@ -15,7 +15,7 @@ from .classify import classify, classify_cycle_limit, classify_equilibrium_limit
 from .criteria import DegeneracyError, criterion_report
 from .cycles import PairingError, find_two_cycles, unit_product_cycle
 from .polynomial import RootIsolationError
-from .ratio_map import Parameters, equilibria
+from .ratio_map import EPS_CRIT, EPS_SEARCHED, Parameters, equilibria
 from .simulate import iterate_solution
 from .verify import run_fixture_checks
 
@@ -105,7 +105,7 @@ def build_analysis_report(params: Parameters, tol: float = 1e-9) -> dict:
             {"attractor": "equilibrium", "value": e.value, **_verdict_dict(v)}
         )
     for cyc in cycles:
-        v = classify_cycle_limit(params, cyc, band=1e-6, eps_crit=1e-6)
+        v = classify_cycle_limit(params, cyc)
         verdicts.append(
             {"attractor": "two_cycle", "p": cyc.p, "q": cyc.q, **_verdict_dict(v)}
         )
@@ -117,7 +117,7 @@ def build_analysis_report(params: Parameters, tol: float = 1e-9) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "parameters": {"a": params.a, "b": params.b, "c": params.c, "d": params.d},
-        "tolerances": {"root_tol": tol, "eps_crit_analytic": 1e-9, "eps_crit_searched": 1e-6},
+        "tolerances": {"root_tol": tol, "eps_crit_analytic": EPS_CRIT, "eps_crit_searched": EPS_SEARCHED},
         "equilibria": [
             {"value": e.value, "multiplier": e.multiplier, "stability": e.stability}
             for e in eqs
@@ -286,14 +286,15 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     common = _Parser(add_help=False)
     common.add_argument("--params", required=True, help="a,b,c,d (use C as the sweep placeholder)")
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--format", choices=("json", "text", "csv"), default="text")
     common.add_argument(
         "--float-format", choices=("shortest", "fixed17"), default="shortest"
     )
-    common.add_argument("--seed", type=int, default=0, help="accepted for reproducible scripts; unused")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-9)
+    report = _Parser(add_help=False)
+    report.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("analyze", parents=[common])
+    p = sub.add_parser("analyze", parents=[common, tol, report])
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", parents=[common])
@@ -302,13 +303,13 @@ def _build_parser():
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("classify", parents=[common])
+    p = sub.add_parser("classify", parents=[common, tol, report])
     p.add_argument("--x-1", dest="x_minus1", type=float, default=1.0)
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100000)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("sweep", parents=[common])
+    p = sub.add_parser("sweep", parents=[common, tol])
     p.add_argument("--c-range", default=None, help="lo:hi:count, inclusive endpoints")
     p.add_argument("--x0-ratio", dest="x0_ratio", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100000)

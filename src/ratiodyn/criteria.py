@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .cycles import TwoCycle, unit_product_cycle
 from .ratio_map import (
+    EPS_CRIT,
     Parameters,
     phi,
     phi_prime,
@@ -36,12 +37,6 @@ __all__ = [
     "S_second_at_q",
     "criterion_report",
 ]
-
-#: band within which an analytically constructed multiplier counts as +-1
-EPS_CRIT_ANALYTIC = 1e-9
-#: band for multipliers of root-searched cycles
-EPS_CRIT_SEARCHED = 1e-6
-
 
 class DegeneracyError(Exception):
     """The denominator of s(t) vanishes where a value is needed."""
@@ -207,7 +202,7 @@ class CriterionReport:
     applicable: dict = field(default_factory=dict)
 
 
-def criterion_report(params: Parameters, tol: float = 1e-9, eps_crit: float = EPS_CRIT_ANALYTIC):
+def criterion_report(params: Parameters, tol: float = 1e-9):
     """Evaluate every criterion quantity, gating each behind its hypothesis.
 
     kappa applies only at a unit-product cycle with multiplier 1; l and S''(q)
@@ -220,7 +215,7 @@ def criterion_report(params: Parameters, tol: float = 1e-9, eps_crit: float = EP
     kap = lv = s2q = None
     applicable = {
         "sigma": abs(a + b + c + d - 1.0) <= tol,
-        "r_second_at_1": abs(a + b + c + d - 1.0) <= tol and abs(sigma - 1.0) <= eps_crit,
+        "r_second_at_1": abs(a + b + c + d - 1.0) <= tol and abs(sigma - 1.0) <= EPS_CRIT,
         "kappa": False,
         "l_value": False,
         "s_second_at_q": False,
@@ -228,8 +223,8 @@ def criterion_report(params: Parameters, tol: float = 1e-9, eps_crit: float = EP
     if cyc is not None:
         kap = kappa(params, cyc)
         lv = l_quantity(params, cyc)
-        applicable["kappa"] = abs(cyc.multiplier - 1.0) <= eps_crit
-        applicable["l_value"] = abs(cyc.multiplier + 1.0) <= eps_crit
+        applicable["kappa"] = abs(cyc.multiplier - 1.0) <= EPS_CRIT
+        applicable["l_value"] = abs(cyc.multiplier + 1.0) <= EPS_CRIT
         if applicable["l_value"]:
             s2q = S_second_at_q(params, cyc)
             applicable["s_second_at_q"] = True

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, real_roots_flagged
-from .ratio_map import Parameters, numerator_poly, fixed_point_poly, phi, phi_prime
+from .ratio_map import EPS_SEARCHED, Parameters, numerator_poly, fixed_point_poly, phi, phi_prime
 
 __all__ = [
     "TwoCycle",
@@ -23,10 +23,6 @@ __all__ = [
     "lemma1b_signs",
     "eq2_cycle_family",
 ]
-
-#: |p*q - 1| below this counts as a unit-product cycle for root-searched cycles
-EPS_UNIT = 1e-6
-
 
 class PairingError(Exception):
     """A periodic-point root whose phi-image is not among the roots."""
@@ -45,7 +41,7 @@ def _make_cycle(params, p, q, unit_product=None):
     if p > q:
         p, q = q, p
     if unit_product is None:
-        unit_product = abs(p * q - 1.0) <= EPS_UNIT
+        unit_product = abs(p * q - 1.0) <= EPS_SEARCHED
     return TwoCycle(
         p=p,
         q=q,

@@ -35,8 +35,11 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 NEUTRAL = "neutral"
 
-#: multipliers within this band of 1 in absolute value count as neutral
+#: the bands within which a quantity counts as equal to 1 (a limit at t = 1
+#: or on p*q = 1, a multiplier of +-1): EPS_CRIT for analytic quantities,
+#: EPS_SEARCHED for values that come out of a root search
 EPS_CRIT = 1e-9
+EPS_SEARCHED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,11 @@ def fixed_point_poly(params: Parameters) -> Polynomial:
     return Polynomial([-params.d, -params.c, -params.b, -params.a, 1.0])
 
 
-def classify_multiplier(multiplier: float, eps: float = EPS_CRIT) -> str:
+def classify_multiplier(multiplier: float) -> str:
     m = abs(multiplier)
-    if m < 1.0 - eps:
+    if m < 1.0 - EPS_CRIT:
         return ATTRACTING
-    if m > 1.0 + eps:
+    if m > 1.0 + EPS_CRIT:
         return REPELLING
     return NEUTRAL
 

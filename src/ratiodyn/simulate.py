@@ -97,15 +97,20 @@ class LimitReport:
 def advance_ratio(params, t, n, zero_guard, out):
     """Apply the ratio map up to n times from t, appending each new ratio to out.
 
-    Before each step, |t| under zero_guard stops the walk.  Returns the last
-    ratio and whether the walk stopped there.
+    Before each step, |t| under zero_guard stops the walk, and so does a t
+    whose cube underflows to 0 (|t| below ~1.7e-108, which the default guard
+    of 1e-300 lets through).  Returns the last ratio and whether the walk
+    stopped there.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
-    for _ in range(n):
-        if abs(t) < zero_guard:
-            return t, True
-        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
-        out.append(t)
+    try:
+        for _ in range(n):
+            if abs(t) < zero_guard:
+                return t, True
+            t = (((a * t + b) * t + c) * t + d) / (t * t * t)
+            out.append(t)
+    except ZeroDivisionError:
+        return t, True
     return t, False
 
 

@@ -353,7 +353,7 @@ def test_criterion_7_oracle_equivalence():
     for i in range(200):
         c = -3.0 + i * 2.0 / 199.0
         params = Parameters(0.1, 1.79, c, 1.0)
-        v = classify(params, 1.0, 1.3, budget=10000, cross_check=False)
+        v = classify(params, 1.0, 1.3, budget=10000)
         if v.conditional or v.rule == "oracle" or v.asymptotic_class not in DEFINITE:
             continue
         definite += 1

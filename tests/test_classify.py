@@ -234,6 +234,9 @@ def test_classify_exact_landing_on_cycle():
 def test_classify_zero_guard_stop():
     v = classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, zero_guard=10.0)
     assert v.asymptotic_class == ITERATION_STOPS
+    # 1e-110 passes the default guard, but its cube underflows to 0
+    v = classify(NEUTRAL_EXAMPLE, 1.0, 1e-110)
+    assert (v.asymptotic_class, v.rule) == (ITERATION_STOPS, "oracle")
 
 
 def test_classify_validates_inputs():

@@ -5,7 +5,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from ratiodyn.cli import main
+from ratiodyn.classify import classify
+from ratiodyn.cli import build_analysis_report, main
+from ratiodyn.ratio_map import Parameters
 
 
 def run_cli(*argv):
@@ -92,6 +94,38 @@ def test_invalid_arguments_exit_one():
     assert run_cli("analyze", "--params", "0,1,1,1")[0] == 1  # a must be positive
     assert run_cli("frobnicate")[0] == 1
     assert run_cli("sweep", "--params", "0.1,1.79,-2,1", "--c-range", "-3:-1:4")[0] == 1
+    assert run_cli("analyze", "--params", "0.1,1.79,-2,1", "--seed", "0")[0] == 1
+    assert run_cli("analyze", "--params", "0.1,1.79,-2,1", "--format", "csv")[0] == 1
+    assert run_cli("classify", "--params", "0.1,1.79,-2,1", "--format", "csv")[0] == 1
+    assert run_cli("simulate", "--params", "0.1,1.79,-2,1", "--format", "json")[0] == 1
+    assert run_cli("simulate", "--params", "0.1,1.79,-2,1", "--tol", "1e-9")[0] == 1
+    assert run_cli(
+        "sweep", "--params", "0.1,1.79,C,1", "--c-range", "-3:-1:4", "--format", "text",
+    )[0] == 1
+
+
+def test_simulate_stops_on_cube_underflow(capsys):
+    # 1e-110 passes the 1e-300 zero guard, but its cube underflows to 0
+    code, out = run_cli(
+        "simulate", "--params", "0.2,1.7,-2,1.1", "--x0", "1e-110", "--steps", "5",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 3  # header, x_{-1}, x_0
+    assert "stopped_division_by_zero" in capsys.readouterr().err
+
+
+def test_analyze_and_classify_share_the_unit_band():
+    # a + b + c + d = 1 and sigma = -1; the root search also reports an
+    # equilibrium at 0.9999999925..., inside the 1e-6 band of 1
+    params = Parameters(
+        2.409436547441535, 0.8024536259312941, -4.833216894187194, 2.6213267208143645
+    )
+    near_one = [
+        v for v in build_analysis_report(params)["verdicts"]
+        if v["attractor"] == "equilibrium" and abs(v["value"] - 1.0) <= 1e-6
+    ]
+    assert near_one and all(v["rule"] == "T1.c2" for v in near_one)
+    assert classify(params, 1.0, 0.9).rule == "T1.c2"
 
 
 def test_verify_paper_passes():

@@ -44,6 +44,10 @@ def test_iterate_ratio_zero_guard():
     traj = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 10, zero_guard=10.0)
     assert traj.status == HIT_ZERO
     assert traj.values == [1.0]
+    # 1e-110 passes the default guard, but its cube underflows to 0
+    traj = iterate_ratio(NEUTRAL_EXAMPLE, 1e-110, 10)
+    assert traj.status == HIT_ZERO
+    assert traj.values == [1e-110]
 
 
 def test_iterate_ratio_escaped_negative():
