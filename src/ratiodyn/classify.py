@@ -7,6 +7,8 @@ is reported as undetermined rather than guessed.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -14,6 +16,7 @@ from itertools import repeat
 from .criteria import S_second_at_q, R_second_at_1, kappa, l_quantity
 from .cycles import TwoCycle, find_two_cycles
 from .outcomes import (
+    ALL_CLASSES,
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
     CONVERGES_TO_ZERO,
@@ -69,15 +72,33 @@ FOUR_PHASE_DECREASING = "four_phase_decreasing"
 #: for the exact-landing (preimage set) branch to fire
 LANDING_STEPS = 50
 LANDING_TOL = 1e-12
+#: classify checks the ratio orbit's tail after FIRST_CHECK steps, doubling
+#: up to CHUNK, then every CHUNK steps
+FIRST_CHECK = 64
+CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     asymptotic_class: str
     rule: str
     monotonic_structure: str | None = None
     conditional: bool = False
     notes: str = ""
+
+
+# Callers may keep many verdicts, and most are equal: one shared note per
+# oracle class, one shared verdict per oracle-rule class, and a cache that
+# hands out one object per equal theorem verdict.
+_ORACLE_NOTES = {c: f"oracle={c}" for c in ALL_CLASSES}
+_ORACLE_VERDICTS = {
+    c: Verdict(c, "oracle", notes="no ratio limit identified within budget") for c in ALL_CLASSES
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _with_note(v, note):
+    return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
 
 
 def _unit_band(params):
@@ -302,27 +323,38 @@ def classify(
 ) -> Verdict:
     """Simulate the ratio orbit, identify its limit, and apply the theorems.
 
-    The ratio orbit is advanced in chunks and stops as soon as its tail
-    stabilizes.  An orbit that lands exactly on the limit within a few steps
-    (the preimage-set case) gets the exact-landing verdict.  If no limit can
-    be identified within the budget the empirical oracle's class is returned.
+    The ratio orbit is checked after 64, 128, 256, 512 and 1024 steps, then
+    every 1024 steps, and the walk stops as soon as its tail stabilizes or a
+    ratio is not finite.  A ratio orbit converges to a repelling equilibrium
+    or 2-cycle only by landing on it, which the first 1024 steps show; so
+    when every limit is repelling the walk stops there.  An orbit that lands
+    exactly on the limit within a few steps (the preimage-set case) gets the
+    exact-landing verdict.  If no limit can be identified within the budget
+    the empirical oracle's class is returned.
     """
+    if not (math.isfinite(x_minus1) and math.isfinite(x0)):
+        raise ValueError("initial conditions must be finite")
     if not (x_minus1 > 0.0 and x0 > 0.0):
         raise ValueError("initial conditions must be positive")
     if budget < 1:
         raise ValueError("need budget >= 1")
     eqs = equilibria(params)
     cycles = find_two_cycles(params)
+    # a limit the orbit can near without landing on it
+    candidate = any(abs(o.multiplier) <= 1.0 + EPS_SEARCHED for o in [*eqs, *cycles])
+    walk = budget if candidate else min(budget, CHUNK)
 
     t = x0 / x_minus1
     values = [t]
-    chunk = 1024
-    for done in range(0, budget, chunk):
-        t, stopped = advance_ratio(params, t, min(chunk, budget - done), zero_guard, values)
+    done = 0
+    while done < walk:
+        n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
+        t, stopped = advance_ratio(params, t, n, zero_guard, values)
+        done += n
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
-        if det.kind != "none":
+        if det.kind != "none" or not math.isfinite(t):
             break
 
     eq = cyc = None
@@ -333,7 +365,7 @@ def classify(
             eq = Equilibrium(det.values[0], m, classify_multiplier(m))
     elif det.kind == "two_cycle":
         cyc = _nearest_cycle(cycles, *det.values)
-    else:
+    elif candidate:
         hit = _proximity_identify(values, eqs, cycles)
         if isinstance(hit, Equilibrium):
             eq = hit
@@ -341,28 +373,27 @@ def classify(
             cyc = hit
 
     oracle = empirical_class(params, x_minus1, x0, max(budget, 1000), tol=tol, zero_guard=zero_guard)
-    note = f"oracle={oracle}"
+    note = _ORACLE_NOTES[oracle]
 
     if eq is not None:
-        band = _unit_band(params)
-        landed = _landing_index(values, (eq.value,))
-        if landed is not None and abs(eq.value - 1.0) <= band:
+        at_one = abs(eq.value - 1.0) <= _unit_band(params)
+        landed = _landing_index(values, (eq.value,)) if at_one else None
+        if landed is not None:
             return Verdict(
                 CONVERGES_TO_EQUILIBRIUM, "T1.cS",
                 notes=f"landed on the equilibrium at step {landed}; {note}",
             )
         evidence = None
         sigma = params.b + 2.0 * params.c + 3.0 * params.d
-        if abs(eq.value - 1.0) <= band and abs(abs(sigma) - 1.0) <= EPS_CRIT:
+        if at_one and abs(abs(sigma) - 1.0) <= EPS_CRIT:
             evidence = subsequence_monotonicity(
                 solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
-        v = classify_equilibrium_limit(params, eq, evidence)
-        return dataclasses.replace(v, notes="; ".join([v.notes, note]).strip("; "))
+        return _with_note(classify_equilibrium_limit(params, eq, evidence), note)
 
     if cyc is not None:
-        landed = _landing_index(values, (cyc.p, cyc.q))
-        if landed is not None and cyc.unit_product:
+        landed = _landing_index(values, (cyc.p, cyc.q)) if cyc.unit_product else None
+        if landed is not None:
             return Verdict(
                 CONVERGES_TO_TWO_CYCLE, "T2.cS",
                 notes=f"landed on the 2-cycle at step {landed}; {note}",
@@ -373,7 +404,6 @@ def classify(
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None
-        v = classify_cycle_limit(params, cyc, evidence)
-        return dataclasses.replace(v, notes="; ".join([v.notes, note]).strip("; "))
+        return _with_note(classify_cycle_limit(params, cyc, evidence), note)
 
-    return Verdict(oracle, "oracle", notes="no ratio limit identified within budget")
+    return _ORACLE_VERDICTS[oracle]

@@ -50,6 +50,8 @@ class Parameters:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError("parameters a, b, c, d must be finite")
         if not (self.a > 0.0 and self.b > 0.0 and self.d > 0.0):
             raise ValueError("parameters a, b, d must be positive")
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -28,7 +29,7 @@ from ratiodyn.outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from ratiodyn.ratio_map import Equilibrium, Parameters, equilibria
+from ratiodyn.ratio_map import EPS_SEARCHED, Equilibrium, Parameters, equilibria
 from ratiodyn.simulate import DECREASING, INCREASING
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
@@ -244,6 +245,62 @@ def test_classify_validates_inputs():
         classify(UNIT_CYCLE_EXAMPLE, -1.0, 1.0)
     with pytest.raises(ValueError):
         classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, budget=0)
+    for x_minus1, x0 in [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            classify(UNIT_CYCLE_EXAMPLE, x_minus1, x0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Parameters(1.0, 1.0, bad, 1.0)
+
+
+# every positive equilibrium and 2-cycle of this set is repelling
+ALL_REPELLING = Parameters(
+    1.490296897455983, 0.30922408211833946, -1.7352422737181445, 0.2518477684329377
+)
+
+
+def walked_steps(monkeypatch, params, x0):
+    """classify's verdict from (1, x0) and the ratio steps its own walk took
+    (the oracle's walk is not counted)."""
+    module = sys.modules["ratiodyn.classify"]
+    advance = module.advance_ratio
+    steps = [0]
+
+    def counting(params, t, n, zero_guard, out):
+        before = len(out)
+        result = advance(params, t, n, zero_guard, out)
+        steps[0] += len(out) - before
+        return result
+
+    monkeypatch.setattr(module, "advance_ratio", counting)
+    return classify(params, 1.0, x0), steps[0]
+
+
+def test_walk_stops_after_one_chunk_when_every_limit_repels(monkeypatch):
+    limits = equilibria(ALL_REPELLING) + find_two_cycles(ALL_REPELLING)
+    assert limits and all(abs(o.multiplier) > 1.0 + EPS_SEARCHED for o in limits)
+    v, steps = walked_steps(monkeypatch, ALL_REPELLING, 1.0)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
+    assert steps == 1024
+
+
+def test_walk_keeps_its_budget_near_a_neutral_limit(monkeypatch):
+    v, steps = walked_steps(monkeypatch, NEUTRAL_EXAMPLE, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    assert steps == 100000
+
+
+def test_walk_stops_at_a_ratio_that_is_not_finite(monkeypatch):
+    # the first ratio overflows to inf and every later one is nan
+    v, steps = walked_steps(monkeypatch, NEUTRAL_EXAMPLE, 1e-105)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
+    assert steps <= 64
+
+
+def test_walk_stops_early_on_a_geometric_approach(monkeypatch):
+    v, steps = walked_steps(monkeypatch, UNIT_CYCLE_EXAMPLE, 3.0)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T2.a")
+    assert steps <= 128
 
 
 def test_landing_index_window():

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,10 @@ def test_invalid_arguments_exit_one():
     assert run_cli(
         "sweep", "--params", "0.1,1.79,C,1", "--c-range", "-3:-1:4", "--format", "text",
     )[0] == 1
+    assert run_cli("classify", "--params", "1,1,nan,1")[0] == 1
+    assert run_cli("analyze", "--params", "1,inf,1,1")[0] == 1
+    assert run_cli("classify", "--params", "0.2,1.7,-2,1.1", "--x0", "inf")[0] == 1
+    assert run_cli("classify", "--params", "0.2,1.7,-2,1.1", "--x-1", "inf")[0] == 1
 
 
 def test_simulate_stops_on_cube_underflow(capsys):
@@ -133,3 +141,15 @@ def test_verify_paper_passes():
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("fixture checks passed")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratiodyn", "verify-paper"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "11/11" in proc.stdout
