@@ -7,9 +7,9 @@ is reported as undetermined rather than guessed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -87,18 +87,8 @@ class Verdict:
     notes: str = ""
 
 
-# Callers may keep many verdicts, and most are equal: one shared note per
-# oracle class, one shared verdict per oracle-rule class, and a cache that
-# hands out one object per equal theorem verdict.
+# one shared note string per oracle class, for callers that keep many verdicts
 _ORACLE_NOTES = {c: f"oracle={c}" for c in ALL_CLASSES}
-_ORACLE_VERDICTS = {
-    c: Verdict(c, "oracle", notes="no ratio limit identified within budget") for c in ALL_CLASSES
-}
-
-
-@functools.lru_cache(maxsize=256)
-def _with_note(v, note):
-    return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
 
 
 def _unit_band(params):
@@ -285,6 +275,18 @@ def _nearest_cycle(cycles, lo, hi):
     return None
 
 
+def _identify(params, det, eqs, cycles):
+    """The (equilibrium, 2-cycle) pair a tail detection points at; a detected
+    equilibrium missing from ``eqs`` is taken as found, a 2-cycle is not."""
+    if det.kind == "equilibrium":
+        eq = _nearest_equilibrium(eqs, det.values[0])
+        if eq is None:
+            m = phi_prime(params, det.values[0])
+            eq = Equilibrium(det.values[0], m, classify_multiplier(m))
+        return eq, None
+    return None, _nearest_cycle(cycles, *det.values)
+
+
 def _proximity_identify(values, eqs, cycles):
     """Identify a slowly-approached limit by shrinking distance to a known
     attractor; used when the tail-spread detector has not converged yet
@@ -325,12 +327,14 @@ def classify(
 
     The ratio orbit is checked after 64, 128, 256, 512 and 1024 steps, then
     every 1024 steps, and the walk stops as soon as its tail stabilizes or a
-    ratio is not finite.  A ratio orbit converges to a repelling equilibrium
-    or 2-cycle only by landing on it, which the first 1024 steps show; so
-    when every limit is repelling the walk stops there.  An orbit that lands
-    exactly on the limit within a few steps (the preimage-set case) gets the
-    exact-landing verdict.  If no limit can be identified within the budget
-    the empirical oracle's class is returned.
+    ratio is not finite.  Before step 1024 a stable tail counts only at an
+    attracting limit: a stay near a repelling one can end later.  A ratio
+    orbit converges to a repelling equilibrium or 2-cycle only by landing on
+    it, which the first 1024 steps show; so when every limit is repelling
+    the walk stops there.  An orbit that lands exactly on the limit within a
+    few steps (the preimage-set case) gets the exact-landing verdict.  If no
+    limit can be identified within the budget the empirical oracle's class
+    is returned.
     """
     if not (math.isfinite(x_minus1) and math.isfinite(x0)):
         raise ValueError("initial conditions must be finite")
@@ -345,27 +349,33 @@ def classify(
     walk = budget if candidate else min(budget, CHUNK)
 
     t = x0 / x_minus1
-    values = [t]
+    # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
+    values = array("d", [t])
     done = 0
+    eq = cyc = None
     while done < walk:
         n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
-        t, stopped = advance_ratio(params, t, n, zero_guard, values)
+        chunk = []
+        t, stopped = advance_ratio(params, t, n, zero_guard, chunk)
+        values.fromlist(chunk)
         done += n
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
-        if det.kind != "none" or not math.isfinite(t):
+        if det.kind != "none":
+            eq, cyc = _identify(params, det, eqs, cycles)
+            limit = eq or cyc
+            # an early check accepts only an attracting limit, which the orbit
+            # does not leave again; a stay near a repelling one can end later
+            if done >= CHUNK or done == walk or (
+                limit is not None and abs(limit.multiplier) < 1.0 - EPS_SEARCHED
+            ):
+                break
+            eq = cyc = None
+        if not math.isfinite(t):
             break
 
-    eq = cyc = None
-    if det.kind == "equilibrium":
-        eq = _nearest_equilibrium(eqs, det.values[0])
-        if eq is None:
-            m = phi_prime(params, det.values[0])
-            eq = Equilibrium(det.values[0], m, classify_multiplier(m))
-    elif det.kind == "two_cycle":
-        cyc = _nearest_cycle(cycles, *det.values)
-    elif candidate:
+    if det.kind == "none" and candidate:
         hit = _proximity_identify(values, eqs, cycles)
         if isinstance(hit, Equilibrium):
             eq = hit
@@ -389,7 +399,8 @@ def classify(
             evidence = subsequence_monotonicity(
                 solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
-        return _with_note(classify_equilibrium_limit(params, eq, evidence), note)
+        v = classify_equilibrium_limit(params, eq, evidence)
+        return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
 
     if cyc is not None:
         landed = _landing_index(values, (cyc.p, cyc.q)) if cyc.unit_product else None
@@ -404,6 +415,7 @@ def classify(
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None
-        return _with_note(classify_cycle_limit(params, cyc, evidence), note)
+        v = classify_cycle_limit(params, cyc, evidence)
+        return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
 
-    return _ORACLE_VERDICTS[oracle]
+    return Verdict(oracle, "oracle", notes="no ratio limit identified within budget")

@@ -8,6 +8,7 @@ is readable); direct-space values are reconstructed only on demand.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, islice, takewhile
 
@@ -269,21 +270,22 @@ def empirical_class(
     if x_minus1 == 0.0 or x0 == 0.0:
         raise ValueError("initial conditions must be nonzero")
     t = x0 / x_minus1
-    logs = [math.log10(abs(x0))]
-    signs = [1 if x0 > 0 else -1]
+    # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
+    logs = array("d", [math.log10(abs(x0))])
+    signs = array("b", [1 if x0 > 0 else -1])
     check_every = max(window, 256)
     for done in range(0, budget, check_every):
         ratios = []
         t, stopped = advance_ratio(params, t, min(check_every, budget - done), zero_guard, ratios)
         start = len(logs)
-        logs[-1:] = _log_magnitudes(logs[-1], ratios)
+        logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])
         if not math.isfinite(logs[-1]):
             # a sum that left the finite floats never returns; the first one decides
             lost = next(lm for lm in logs[start:] if not math.isfinite(lm))
             return DIVERGES_TO_INFINITY if lost > 0 else CONVERGES_TO_ZERO
         if stopped:
             return ITERATION_STOPS
-        signs[-1:] = _signs(signs[-1], ratios)
+        signs.fromlist(_signs(signs.pop(), ratios))
         lm = logs[-1]
         if lm > theta_up and _trend(logs) > 0.0:
             return DIVERGES_TO_INFINITY

@@ -303,6 +303,16 @@ def test_walk_stops_early_on_a_geometric_approach(monkeypatch):
     assert steps <= 128
 
 
+def test_early_check_passes_over_a_stay_near_a_repelling_limit(monkeypatch):
+    # a + b + c + d = 1 and sigma = 1.2, but the float phi(1) is 1 + 2.2e-16:
+    # from t0 = 1 the ratios stay within 1e-8 of the repelling equilibrium at
+    # 1 for about 100 steps, then leave it for an attracting 2-cycle
+    params = Parameters(0.4, 0.8, -1.0, 0.8)
+    v, steps = walked_steps(monkeypatch, params, 1.0)
+    assert v == Verdict(DIVERGES_TO_INFINITY, "T2.a", notes="oracle=diverges_to_infinity")
+    assert 64 < steps <= 1024
+
+
 def test_landing_index_window():
     stay = [1.0] * 100
     assert _landing_index([2.0] * LANDING_STEPS + stay, (1.0,)) == LANDING_STEPS
