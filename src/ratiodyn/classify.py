@@ -7,6 +7,7 @@ is reported as undetermined rather than guessed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from array import array
@@ -89,6 +90,14 @@ class Verdict:
 
 # one shared note string per oracle class, for callers that keep many verdicts
 _ORACLE_NOTES = {c: f"oracle={c}" for c in ALL_CLASSES}
+
+
+@functools.lru_cache(maxsize=1024)
+def _noted(v, note):
+    """``v`` with ``note`` appended to its notes.  classify's verdicts take
+    few distinct values, so each is built once and shared, for callers that
+    keep many verdicts."""
+    return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
 
 
 def _unit_band(params):
@@ -308,8 +317,8 @@ def _proximity_identify(values, eqs, cycles):
         (c, (c.p, c.q)) for c in cycles
     ]:
         scale = max(1.0, max(abs(v) for v in pts))
-        e_early, e_late = errs(early, pts), errs(late, pts)
-        if e_late < 0.02 * scale and e_late <= 0.95 * e_early:
+        e_late = errs(late, pts)
+        if e_late < 0.02 * scale and e_late <= 0.95 * errs(early, pts):
             if best is None or e_late / scale < best[1]:
                 best = (obj, e_late / scale)
     return None if best is None else best[0]
@@ -395,12 +404,13 @@ def classify(
             )
         evidence = None
         sigma = params.b + 2.0 * params.c + 3.0 * params.d
-        if at_one and abs(abs(sigma) - 1.0) <= EPS_CRIT:
+        # only sigma = -1 (T1.c2) reads the evidence
+        if at_one and abs(sigma + 1.0) <= EPS_CRIT:
             evidence = subsequence_monotonicity(
                 solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
         v = classify_equilibrium_limit(params, eq, evidence)
-        return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
+        return _noted(v, note)
 
     if cyc is not None:
         landed = _landing_index(values, (cyc.p, cyc.q)) if cyc.unit_product else None
@@ -410,12 +420,13 @@ def classify(
                 notes=f"landed on the 2-cycle at step {landed}; {note}",
             )
         evidence = None
-        if cyc.unit_product and abs(abs(cyc.multiplier) - 1.0) <= EPS_SEARCHED:
+        # only a multiplier of +1 (T2.c2) reads the evidence
+        if cyc.unit_product and abs(cyc.multiplier - 1.0) <= EPS_SEARCHED:
             straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None
         v = classify_cycle_limit(params, cyc, evidence)
-        return dataclasses.replace(v, notes=note if not v.notes else f"{v.notes}; {note}")
+        return _noted(v, note)
 
-    return Verdict(oracle, "oracle", notes="no ratio limit identified within budget")
+    return _noted(Verdict(oracle, "oracle"), "no ratio limit identified within budget")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, real_roots_flagged
-from .ratio_map import EPS_SEARCHED, Parameters, numerator_poly, fixed_point_poly, phi, phi_prime
+from .ratio_map import EPS_SEARCHED, Parameters, phi, phi_prime
 
 __all__ = [
     "TwoCycle",
@@ -51,25 +51,29 @@ def _make_cycle(params, p, q, unit_product=None):
     )
 
 
+def _two_cycle_coeffs(a, b, c, d):
+    """The ascending coefficients of the 2-cycle sextic, in plain arithmetic
+    that works on floats and on symbols alike."""
+    return (
+        a * d * d,
+        d * (2 * a * c - d),
+        2 * a * b * d + a * c * c - 2 * c * d,
+        2 * a * a * d + 2 * a * b * c - b * d - c * c,
+        2 * a * a * c + a * b * b - a * d - b * c,
+        2 * a * a * b - a * c - d,
+        a * a * a,
+    )
+
+
 def two_cycle_poly(params: Parameters) -> Polynomial:
     """The degree-6 polynomial whose positive roots are the 2-cycle points.
 
     Clearing denominators in phi(phi(t)) = t gives the degree-10 polynomial
-    P = t*N^3 - a*N^3 - b*N^2*t^3 - c*N*t^6 - d*t^9 (N the numerator of phi),
-    which the fixed-point quartic divides exactly; the quotient is returned.
+    t*N^3 - a*N^3 - b*N^2*t^3 - c*N*t^6 - d*t^9 (N the numerator of phi).
+    The fixed-point quartic divides it exactly, and the quotient is
+    returned in closed form (the tests check the product symbolically).
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    n = numerator_poly(params)
-    n2 = n * n
-    n3 = n2 * n
-    p10 = n3.shift(1) - a * n3 - (b * n2).shift(3) - (c * n).shift(6) - Polynomial([d]).shift(9)
-    quot, rem = p10.divide(fixed_point_poly(params))
-    if rem.max_abs_coeff() > 1e-8 * p10.max_abs_coeff():
-        raise ArithmeticError(
-            "fixed-point quartic does not divide the period-2 polynomial: "
-            f"remainder {rem.coeffs!r}"
-        )
-    return quot
+    return Polynomial(_two_cycle_coeffs(params.a, params.b, params.c, params.d))
 
 
 def _polish_cycle_point(params, t):

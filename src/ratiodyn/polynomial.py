@@ -45,11 +45,7 @@ class Polynomial:
         return self.degree < 0
 
     def __call__(self, t: float) -> float:
-        # Horner scheme, highest degree first
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _horner(self.coeffs, t)
 
     def derivative(self) -> "Polynomial":
         if len(self.coeffs) == 1:
@@ -109,47 +105,106 @@ class Polynomial:
         return max(abs(c) for c in self.coeffs)
 
 
-def _bisect(p, lo, hi, tol):
-    flo = p(lo)
-    if flo == 0.0:
-        return lo
+def _horner(coeffs, x):
+    """p(x) from the ascending coefficients."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _value_and_slope(rev, x):
+    """p(x) and p'(x) in one Horner pass; ``rev`` holds p's coefficients
+    from the highest degree down."""
+    f = df = 0.0
+    for c in rev:
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _refine(coeffs, a, b, fa, fb, tol):
+    """The root of p in the sign-change bracket (a, b), p(a) = fa, p(b) = fb.
+
+    Safeguarded Newton from the secant point: every evaluation shrinks the
+    bracket to the side of the sign change, and a step that would leave it
+    becomes a bisection step.  Once a step falls under the relative tol, at
+    most three plain Newton steps, kept inside the original bracket, take a
+    simple root to machine precision.
+    """
+    rev = coeffs[::-1]
+    lo, hi = a, b
+    neg = fa < 0.0
+    x = a - fa * (b - a) / (fb - fa)
+    if not a < x < b:
+        x = 0.5 * (a + b)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            return mid
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
+        f, df = _value_and_slope(rev, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == neg:
+            a = x
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(p, dp, r, lo, hi):
-    # bisection stops at a relative tol; a few Newton steps take a simple
-    # root the rest of the way to machine precision
+            b = x
+        xn = x - f / df if df != 0.0 else math.nan
+        if not a < xn < b:  # nan fails too
+            xn = 0.5 * (a + b)
+        eps = tol * max(1.0, abs(xn))
+        converged = abs(xn - x) <= eps or b - a <= eps
+        x = xn
+        if converged:
+            break
     for _ in range(3):
-        d = dp(r)
-        if d == 0.0:
+        f, df = _value_and_slope(rev, x)
+        if df == 0.0:
             break
-        step = p(r) / d
-        rn = r - step
-        if not lo <= rn <= hi:
+        xn = x - f / df
+        # a step too small to move x would be repeated unchanged
+        if xn == x or not lo <= xn <= hi:
             break
-        r = rn
-        if step == 0.0:
-            break
-    return r
+        x = xn
+    return x
 
 
-def _scale_at(p, x):
+def _scale_at(coeffs, x):
     ax, s, t = abs(x), 0.0, 1.0
-    for c in p.coeffs:
+    for c in coeffs:
         s += abs(c) * t
         t *= ax
     return max(s, 1.0)
+
+
+def _roots(coeffs, lo, hi, tol):
+    """real_roots_flagged on a coefficient tuple of degree >= 1 with a
+    nonzero leading coefficient, over a finite (lo, hi)."""
+    if len(coeffs) == 2:
+        r = -coeffs[0] / coeffs[1]
+        return [(r, True)] if lo < r < hi else []
+    crit = [r for r, _ in _roots(tuple(i * c for i, c in enumerate(coeffs))[1:], lo, hi, tol)]
+    pts = [lo] + crit + [hi]
+    vals = [_horner(coeffs, x) for x in pts]
+    roots = []
+    for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+        if b - a <= tol * max(1.0, abs(a), abs(b)):
+            # two critical points closer than the resolution: signs next to a
+            # potential root in between cannot be trusted
+            m = 0.5 * (a + b)
+            if abs(_horner(coeffs, m)) <= 1e-9 * _scale_at(coeffs, m):
+                raise RootIsolationError(
+                    f"cannot separate roots near {m!r} at tol={tol!r}"
+                )
+            continue
+        if (fa < 0.0) != (fb < 0.0):
+            r = a if fa == 0.0 else _refine(coeffs, a, b, fa, fb, tol)
+            if lo < r < hi:
+                roots.append((r, True))
+    # even-multiplicity roots sit at critical points without a sign change
+    for x, fx in zip(crit, vals[1:]):
+        if abs(fx) <= 1e-9 * _scale_at(coeffs, x):
+            if not any(abs(x - r) <= 10.0 * tol * max(1.0, abs(x)) for r, _ in roots):
+                roots.append((x, False))
+    roots.sort(key=lambda rs: rs[0])
+    return roots
 
 
 def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
@@ -157,9 +212,10 @@ def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
 
     Roots of the derivative partition (lo, hi) into intervals on which p is
     monotone; each monotone interval holds at most one root, bracketed by a
-    sign change and polished by bisection.  A derivative root where |p| falls
-    below the evaluation noise floor is reported as a non-simple root (even
-    multiplicity: no sign change to bracket).
+    sign change and refined by safeguarded Newton (each step bisects
+    instead when Newton would leave the bracket).  A derivative root where
+    |p| falls below the evaluation noise floor is reported as a non-simple
+    root (even multiplicity: no sign change to bracket).
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -173,38 +229,9 @@ def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
         lo = -p.cauchy_bound()
         if hi <= lo:
             return []
-    deg = p.degree
-    if deg <= 0:
+    if p.degree <= 0:
         return []
-    if deg == 1:
-        r = -p.coeffs[0] / p.coeffs[1]
-        return [(r, True)] if lo < r < hi else []
-
-    dp = p.derivative()
-    crit = [r for r, _ in real_roots_flagged(dp, lo, hi, tol)]
-    pts = [lo] + crit + [hi]
-    roots = []
-    for a, b in zip(pts, pts[1:]):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            # two critical points closer than the resolution: signs next to a
-            # potential root in between cannot be trusted
-            if abs(p(0.5 * (a + b))) <= 1e-9 * _scale_at(p, 0.5 * (a + b)):
-                raise RootIsolationError(
-                    f"cannot separate roots near {0.5 * (a + b)!r} at tol={tol!r}"
-                )
-            continue
-        fa, fb = p(a), p(b)
-        if (fa < 0.0) != (fb < 0.0):
-            r = _newton_polish(p, dp, _bisect(p, a, b, tol), a, b)
-            if lo < r < hi:
-                roots.append((r, True))
-    # even-multiplicity roots sit at critical points without a sign change
-    for x in crit:
-        if abs(p(x)) <= 1e-9 * _scale_at(p, x):
-            if not any(abs(x - r) <= 10.0 * tol * max(1.0, abs(x)) for r, _ in roots):
-                roots.append((x, False))
-    roots.sort(key=lambda rs: rs[0])
-    return roots
+    return _roots(p.coeffs, lo, hi, tol)
 
 
 def real_roots_in(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, islice, repeat, takewhile
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -156,14 +156,21 @@ def solution_trajectory(x_minus1: float, x0: float, rt: RatioTrajectory) -> Solu
     """The solution orbit from x_{-1}, x_0 whose ratios are ``rt.values``.
 
     The logs stop before the first magnitude that is not a finite float
-    (status ``overflowed_budget``); the ratios are kept whole.
+    (status ``overflowed_budget``), or before an x_n of exactly 0, which the
+    next step would divide by (status ``stopped_division_by_zero``); the
+    ratios are kept whole.
     """
     mags = _log_magnitudes(math.log10(abs(x0)), islice(rt.values, 1, None))
-    logs = [math.log10(abs(x_minus1)), next(mags), *takewhile(math.isfinite, mags)]
+    logs = [math.log10(abs(x_minus1)), next(mags)]
+    zero = False
+    try:
+        logs.extend(takewhile(math.isfinite, mags))
+    except ValueError:  # log10(0): a ratio of exactly 0; the logs before it stay
+        zero = True
     kept = islice(rt.values, 1, len(logs) - 1)
     signs = [1 if x_minus1 > 0 else -1, *_signs(1 if x0 > 0 else -1, kept)]
     status = OVERFLOWED_BUDGET if len(logs) < len(rt.values) + 1 else COMPLETED
-    if rt.status == HIT_ZERO:
+    if zero or rt.status == HIT_ZERO:
         status = STOPPED_DIVISION_BY_ZERO
     return SolutionTrajectory(
         log_magnitudes=logs, signs=signs, ratios=rt.values, status=status
@@ -222,17 +229,10 @@ def _trend(logs, frac=0.1):
     return logs[-1] - logs[-1 - k]
 
 
-def _tail_values(logs, signs, count):
-    if any(abs(lm) >= 300.0 for lm in logs[-count:]):
-        return None
-    return [s * 10.0 ** lm for s, lm in zip(signs[-count:], logs[-count:])]
-
-
 def _stabilized(logs, signs, tol, window):
-    xs = _tail_values(logs, signs, 2 * window)
-    if xs is None:
+    if max(map(abs, logs[-2 * window:])) >= 300.0:
         return None
-    tail = xs[-window:]
+    tail = [s * 10.0 ** lm for s, lm in zip(signs[-window:], logs[-window:])]
     m = sum(tail) / len(tail)
     if m != 0.0 and (max(tail) - min(tail)) <= tol * abs(m):
         return CONVERGES_TO_EQUILIBRIUM
@@ -278,14 +278,20 @@ def empirical_class(
         ratios = []
         t, stopped = advance_ratio(params, t, min(check_every, budget - done), zero_guard, ratios)
         start = len(logs)
-        logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])
+        try:
+            logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])
+        except ValueError:  # log10(0): x_n = 0, and the next step divides by it
+            return ITERATION_STOPS
         if not math.isfinite(logs[-1]):
             # a sum that left the finite floats never returns; the first one decides
             lost = next(lm for lm in logs[start:] if not math.isfinite(lm))
             return DIVERGES_TO_INFINITY if lost > 0 else CONVERGES_TO_ZERO
         if stopped:
             return ITERATION_STOPS
-        signs.fromlist(_signs(signs.pop(), ratios))
+        if min(ratios) > 0.0:
+            signs.extend(repeat(signs[-1], len(ratios)))
+        else:
+            signs.fromlist(_signs(signs.pop(), ratios))
         lm = logs[-1]
         if lm > theta_up and _trend(logs) > 0.0:
             return DIVERGES_TO_INFINITY

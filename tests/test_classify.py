@@ -326,3 +326,29 @@ def test_landing_index_window():
 def test_landing_index_rejects_an_orbit_that_leaves():
     assert _landing_index([2.0] * 5 + [1.0] * 20 + [1.5] + [1.0] * 10, (1.0,)) is None
     assert _landing_index([2.0] * 5 + [1.0] * 20 + [2.0], (1.0,)) is None
+
+
+def monotonicity_calls(monkeypatch, params, x0):
+    """classify's verdict from (1, x0) and the (stride, offset) of each
+    subsequence_monotonicity call it made."""
+    module = sys.modules["ratiodyn.classify"]
+    real = module.subsequence_monotonicity
+    calls = []
+
+    def recording(traj, stride, offset, *args, **kwargs):
+        calls.append((stride, offset))
+        return real(traj, stride, offset, *args, **kwargs)
+
+    monkeypatch.setattr(module, "subsequence_monotonicity", recording)
+    return classify(params, 1.0, x0), calls
+
+
+def test_monotonicity_evidence_only_where_a_verdict_reads_it(monkeypatch):
+    # sigma = +1 (T1.c3): the verdict comes from R''(1), not from the orbit
+    v, calls = monotonicity_calls(monkeypatch, NEUTRAL_EXAMPLE, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    assert calls == []
+    # sigma = -1 (T1.c2): the verdict branches on whether {x_n} increases
+    v, calls = monotonicity_calls(monkeypatch, Parameters(1.5, 1.2, -2.9, 1.2), 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c2")
+    assert calls == [(1, 0)]

@@ -122,6 +122,14 @@ def test_simulate_stops_on_cube_underflow(capsys):
     assert "stopped_division_by_zero" in capsys.readouterr().err
 
 
+def test_simulate_stops_at_a_zero_ratio(capsys):
+    # phi(1) = 1 + 1 - 3 + 1 = 0, so x_1 = 0 and the next step divides by it
+    code, out = run_cli("simulate", "--params", "1,1,-3,1", "--x0", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 3  # header, x_{-1}, x_0
+    assert "stopped_division_by_zero" in capsys.readouterr().err
+
+
 def test_analyze_and_classify_share_the_unit_band():
     # a + b + c + d = 1 and sigma = -1; the root search also reports an
     # equilibrium at 0.9999999925..., inside the 1e-6 band of 1

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ratiodyn.cycles import (
+    _two_cycle_coeffs,
     eq2_cycle_family,
     find_two_cycles,
     lemma1b_signs,
@@ -30,6 +31,16 @@ def test_cycle_poly_degree_and_roots():
         scale = poly.max_abs_coeff()
         assert abs(poly(cyc.p)) <= 1e-6 * scale * max(1.0, cyc.p) ** 6
         assert abs(poly(cyc.q)) <= 1e-6 * scale * max(1.0, cyc.q) ** 6
+
+
+def test_cycle_poly_times_the_quartic_is_the_period_two_polynomial():
+    sp = pytest.importorskip("sympy")
+    a, b, c, d, t = sp.symbols("a b c d t")
+    n = a * t**3 + b * t**2 + c * t + d
+    period_two = t * n**3 - a * n**3 - b * n**2 * t**3 - c * n * t**6 - d * t**9
+    quartic = t**4 - a * t**3 - b * t**2 - c * t - d
+    sextic = sum(k * t**i for i, k in enumerate(_two_cycle_coeffs(a, b, c, d)))
+    assert sp.expand(quartic * sextic - period_two) == 0
 
 
 def test_neutral_example_cycles():

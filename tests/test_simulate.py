@@ -29,6 +29,9 @@ from ratiodyn.simulate import (
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
+# phi(1) = a + b + c + d = 0: from x_{-1} = x_0 = 1 the first ratio is
+# exactly 0, so x_1 = 0
+ZERO_RATIO = Parameters(1.0, 1.0, -3.0, 1.0)
 
 
 def test_iterate_ratio_matches_map():
@@ -186,6 +189,18 @@ def test_empirical_zero_guard_stops():
     assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=10.0) == ITERATION_STOPS
     # a stop inside the first block of steps, before any evidence is checked
     assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=0.88) == ITERATION_STOPS
+    # a ratio of exactly 0 stops too: x_1 = 0, and log10 |x_1| does not exist
+    assert empirical_class(ZERO_RATIO, 1.0, 1.0) == ITERATION_STOPS
+
+
+def test_solution_stops_at_a_zero_ratio():
+    for steps in (1, 10):
+        traj = iterate_solution(ZERO_RATIO, 1.0, 1.0, steps)
+        assert traj.status == STOPPED_DIVISION_BY_ZERO
+        assert traj.ratios == [1.0, 0.0]
+        # the logs stop before log10 |x_1| = log10 0
+        assert traj.log_magnitudes == [0.0, 0.0]
+        assert traj.signs == [1, 1]
 
 
 def test_empirical_budget_validation():
