@@ -1,14 +1,21 @@
 """Batch front end: analysis reports, trajectory dumps, classification, sweeps.
 
 Everything is deterministic: fixed field order, fixed float formatting, and
-sweep rows are emitted in grid order regardless of thread count.
+sweep rows are emitted in grid order whatever the number of workers.
+
+``sweep --threads n`` computes its rows in up to ``n`` processes: the
+interleaved shares ``grid[k::n]``, share 0 in this process and the others in
+``os.fork()`` children that pickle their rows back over a pipe.  ``n`` is
+capped by the number of rows and of usable CPUs.  The sweep runs serially
+where ``os.fork`` is missing or other threads are running, since forking a
+threaded process can deadlock the child.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .classify import classify, classify_cycle_limit, classify_equilibrium_limit, classify_remark
@@ -240,12 +247,80 @@ def _sweep_grid(spec):
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
+def _share_rows(row, values):
+    """The rows of ``values`` up to the first that raises, and its exception:
+    ``(lines, error)``, where ``error`` is None if every row succeeded."""
+    lines = []
+    for value in values:
+        try:
+            lines.append(row(value))
+        except Exception as exc:
+            return lines, exc
+    return lines, None
+
+
+def _worker_count(threads, rows):
+    """Processes for a sweep: at most one per row and per usable CPU, and
+    only this one where fork is missing or other threads are running."""
+    if threads == 1 or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(threads, rows, cpus)
+
+
+def _forked_shares(row, grid, n):
+    """``_share_rows`` of each share ``grid[k::n]``: share 0 computed here,
+    the others in forked children that pickle their result back over a pipe
+    and leave through ``os._exit``, so they never flush the parent's buffers."""
+    import pickle
+
+    children = []
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_share_rows(row, grid[k::n]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        shares = [_share_rows(row, grid[0::n])]
+        for k, (pid, pipe) in enumerate(children, 1):
+            try:
+                shares.append(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(
+                    f"sweep worker {pid} (rows {k}::{n}) ended without sending its rows"
+                ) from exc
+        return shares
+    finally:
+        # closing the pipe first makes a child that has not written yet fail
+        # on its write and exit, so the wait cannot outlast its rows
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def _cmd_sweep(args, out):
     values, placeholder = _parse_params(args.params, allow_placeholder=True)
     if placeholder is None:
         raise ValueError("sweep needs a 'C' placeholder in --params")
     if args.c_range is None:
         raise ValueError("sweep needs --c-range lo:hi:count")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     fmt = _fmt_for(args.float_format)
     grid = _sweep_grid(args.c_range)
     name = "abcd"[placeholder]
@@ -258,13 +333,19 @@ def _cmd_sweep(args, out):
         return f"{fmt(value)},{v.asymptotic_class},{v.rule}\r\n"
 
     out.write(f"{name},class,rule\r\n")
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for line in pool.map(row, grid):
-                out.write(line)
-    else:
+    n = _worker_count(args.threads, len(grid))
+    if n == 1:
         for value in grid:
             out.write(row(value))
+        return 0
+    shares = _forked_shares(row, grid, n)
+    # grid order; the first row a share could not compute is the first
+    # failed row of the grid, and raising there leaves the serial output
+    for i in range(len(grid)):
+        lines, error = shares[i % n]
+        if i // n == len(lines):
+            raise error
+        out.write(lines[i // n])
     return 0
 
 

@@ -4,14 +4,27 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from ratiodyn.classify import classify
-from ratiodyn.cli import build_analysis_report, main
+from ratiodyn.cli import _sweep_grid, build_analysis_report, main
+from ratiodyn.cycles import PairingError
 from ratiodyn.ratio_map import Parameters
+
+CLI = sys.modules["ratiodyn.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+USABLE_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+)
+# nine rows; on two workers the parent's share is rows 0, 2, 4, 6, 8
+SWEEP_9 = [
+    "sweep", "--params", "0.1,1.79,C,1", "--c-range", "-3:-1:9",
+    "--x0-ratio", "1.3", "--steps", "5000",
+]
 
 
 def run_cli(*argv):
@@ -110,6 +123,78 @@ def test_invalid_arguments_exit_one():
     assert run_cli("analyze", "--params", "1,inf,1,1")[0] == 1
     assert run_cli("classify", "--params", "0.2,1.7,-2,1.1", "--x0", "inf")[0] == 1
     assert run_cli("classify", "--params", "0.2,1.7,-2,1.1", "--x-1", "inf")[0] == 1
+    assert run_cli(*SWEEP_9, "--threads", "0")[0] == 1
+    assert run_cli(*SWEEP_9, "--threads", "-2")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "bad_rows", [(4,), (3,), (6, 3)], ids=["parent_share", "child_share", "child_first"],
+)
+def test_failing_row_ends_the_sweep_as_the_serial_run_does(monkeypatch, capsys, bad_rows):
+    grid = _sweep_grid("-3:-1:9")
+    bad_values = {grid[i] for i in bad_rows}
+    real = CLI.classify
+
+    def classify(params, *args, **kwargs):
+        if params.c in bad_values:
+            raise PairingError(f"no partner at c={params.c!r}")
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(CLI, "classify", classify)
+    runs = []
+    for threads in ("1", "2"):
+        code, out = run_cli(*SWEEP_9, "--threads", threads)
+        runs.append((code, capsys.readouterr().err, out))
+    assert runs[0] == runs[1]
+    code, err, out = runs[0]
+    assert code == 2
+    assert f"c={grid[min(bad_rows)]!r}" in err
+    assert len(out.splitlines()) == 1 + min(bad_rows)
+
+
+def test_workers_are_capped_and_fall_back_to_serial(monkeypatch):
+    serial = run_cli(*SWEEP_9, "--threads", "1")
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_cli(*SWEEP_9, "--threads", "64") == serial
+    assert len(forks) <= min(USABLE_CPUS, 9) - 1
+
+    # a forked child of a threaded process may deadlock, so no fork then
+    forks.clear()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert run_cli(*SWEEP_9, "--threads", "2") == serial
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(*SWEEP_9, "--threads", "2") == serial
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs to fork")
+def test_worker_that_dies_fails_the_sweep(monkeypatch):
+    parent = os.getpid()
+    real = CLI.classify
+
+    def classify(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(CLI, "classify", classify)
+    with pytest.raises(RuntimeError, match="ended without sending its rows"):
+        run_cli(*SWEEP_9, "--threads", "2")
 
 
 def test_simulate_stops_on_cube_underflow(capsys):
@@ -151,13 +236,33 @@ def test_verify_paper_passes():
     assert out.strip().endswith("fixture checks passed")
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def run_python(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    # a block-buffered stdout, as a pipe gives without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
-        [sys.executable, "-m", "ratiodyn", "verify-paper"],
-        capture_output=True, text=True, timeout=120, check=False,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *argv], capture_output=True, timeout=120, check=False,
+        env={**env, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert "11/11" in proc.stdout
+    return proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    assert b"11/11" in run_python("-m", "ratiodyn", "verify-paper")
+
+
+def test_forked_sweep_writes_stdout_once():
+    # a child that flushed the parent's stdout buffer would repeat the header
+    serial = run_python("-m", "ratiodyn", *SWEEP_9, "--threads", "1")
+    assert run_python("-m", "ratiodyn", *SWEEP_9, "--threads", "2") == serial
+    assert serial.count(b"c,class,rule") == 1
+
+
+def test_cli_import_loads_no_process_or_thread_pool():
+    loaded = run_python(
+        "-c",
+        "import sys, ratiodyn.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
+    )
+    assert loaded.strip() == b"[]"
