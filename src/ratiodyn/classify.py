@@ -27,8 +27,6 @@ from .outcomes import (
     UNDETERMINED,
 )
 from .ratio_map import (
-    EPS_CRIT,
-    EPS_SEARCHED,
     Equilibrium,
     Parameters,
     classify_multiplier,
@@ -39,7 +37,6 @@ from .ratio_map import (
 )
 from .simulate import (
     DECREASING,
-    DEFAULT_ZERO_GUARD,
     INCREASING,
     RatioTrajectory,
     COMPLETED,
@@ -48,6 +45,10 @@ from .simulate import (
     empirical_class,
     solution_trajectory,
     subsequence_monotonicity,
+)
+from .tolerances import (
+    DEFAULT_BUDGET, DEFAULT_ZERO_GUARD, EPS_CRIT, EPS_SEARCHED,
+    ORACLE_MIN_BUDGET, ROOT_TOL, TAIL_TOL, TAIL_WINDOW,
 )
 
 __all__ = [
@@ -74,9 +75,12 @@ FOUR_PHASE_DECREASING = "four_phase_decreasing"
 LANDING_STEPS = 50
 LANDING_TOL = 1e-12
 #: classify checks the ratio orbit's tail after FIRST_CHECK steps, doubling
-#: up to CHUNK, then every CHUNK steps
-FIRST_CHECK = 64
+#: up to CHUNK, then every CHUNK steps; a check reads a detector window
+FIRST_CHECK = TAIL_WINDOW
 CHUNK = 1024
+#: a detected tail names a known equilibrium or 2-cycle within this relative
+#: distance
+MATCH_TOL = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +123,7 @@ def classify_equilibrium_limit(
     monotonicity of {x_n} itself.
     """
     t = eq.value
-    if abs(phi(params, t) - t) > 1e-6 * max(1.0, abs(t)):
+    if abs(phi(params, t) - t) > EPS_SEARCHED * max(1.0, abs(t)):
         raise ValueError(f"{t!r} is not an equilibrium of the ratio map")
     band = _unit_band(params)
     if t > 1.0 + band:
@@ -176,8 +180,8 @@ def classify_cycle_limit(
     even/odd subsequences increase."""
     p, q = cycle.p, cycle.q
     if (
-        abs(phi(params, p) - q) > 1e-6 * max(1.0, q)
-        or abs(phi(params, q) - p) > 1e-6 * max(1.0, p)
+        abs(phi(params, p) - q) > EPS_SEARCHED * max(1.0, q)
+        or abs(phi(params, q) - p) > EPS_SEARCHED * max(1.0, p)
     ):
         raise ValueError(f"({p!r}, {q!r}) is not a 2-cycle of the ratio map")
     pq = cycle.product
@@ -219,7 +223,7 @@ def classify_cycle_limit(
     )
 
 
-def classify_remark(params: Parameters, tol: float = 1e-9) -> Verdict | None:
+def classify_remark(params: Parameters, tol: float = ROOT_TOL) -> Verdict | None:
     """Trapping-interval verdict for parameter regions where the ratio orbit
     need not converge; always conditional (its hypotheses come from results
     that cannot be checked here).
@@ -268,7 +272,7 @@ def _landing_index(values, points):
 def _nearest_equilibrium(eqs, value):
     best = None
     for e in eqs:
-        if abs(e.value - value) <= 1e-3 * max(1.0, abs(value)):
+        if abs(e.value - value) <= MATCH_TOL * max(1.0, abs(value)):
             if best is None or abs(e.value - value) < abs(best.value - value):
                 best = e
     return best
@@ -277,8 +281,8 @@ def _nearest_equilibrium(eqs, value):
 def _nearest_cycle(cycles, lo, hi):
     for cyc in cycles:
         if (
-            abs(cyc.p - lo) <= 1e-3 * max(1.0, abs(lo))
-            and abs(cyc.q - hi) <= 1e-3 * max(1.0, abs(hi))
+            abs(cyc.p - lo) <= MATCH_TOL * max(1.0, abs(lo))
+            and abs(cyc.q - hi) <= MATCH_TOL * max(1.0, abs(hi))
         ):
             return cyc
     return None
@@ -328,8 +332,8 @@ def classify(
     params: Parameters,
     x_minus1: float,
     x0: float,
-    budget: int = 100000,
-    tol: float = 1e-8,
+    budget: int = DEFAULT_BUDGET,
+    tol: float = TAIL_TOL,
     zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> Verdict:
     """Simulate the ratio orbit, identify its limit, and apply the theorems.
@@ -391,7 +395,9 @@ def classify(
         elif isinstance(hit, TwoCycle):
             cyc = hit
 
-    oracle = empirical_class(params, x_minus1, x0, max(budget, 1000), tol=tol, zero_guard=zero_guard)
+    oracle = empirical_class(
+        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol, zero_guard=zero_guard
+    )
     note = _ORACLE_NOTES[oracle]
 
     if eq is not None:

@@ -22,8 +22,9 @@ from .classify import classify, classify_cycle_limit, classify_equilibrium_limit
 from .criteria import DegeneracyError, criterion_report
 from .cycles import PairingError, find_two_cycles, unit_product_cycle
 from .polynomial import RootIsolationError
-from .ratio_map import EPS_CRIT, EPS_SEARCHED, Parameters, equilibria
+from .ratio_map import Parameters, equilibria
 from .simulate import iterate_solution
+from .tolerances import DEFAULT_BUDGET, EPS_CRIT, EPS_SEARCHED, ROOT_TOL
 from .verify import run_fixture_checks
 
 SCHEMA_VERSION = 1
@@ -96,7 +97,7 @@ def _verdict_dict(v):
     }
 
 
-def build_analysis_report(params: Parameters, tol: float = 1e-9) -> dict:
+def build_analysis_report(params: Parameters, tol: float = ROOT_TOL) -> dict:
     """Everything the analytic layer can say about one parameter set."""
     eqs = equilibria(params, tol)
     cycles = find_two_cycles(params, tol)
@@ -371,7 +372,11 @@ def _build_parser():
         "--float-format", choices=("shortest", "fixed17"), default="shortest"
     )
     tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-9)
+    tol.add_argument(
+        "--tol", type=float, default=ROOT_TOL,
+        help="root tolerance for analyze; tail tolerance for classify and sweep "
+        "(default %(default)s)",
+    )
     report = _Parser(add_help=False)
     report.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -387,13 +392,13 @@ def _build_parser():
     p = sub.add_parser("classify", parents=[common, tol, report])
     p.add_argument("--x-1", dest="x_minus1", type=float, default=1.0)
     p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--steps", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", parents=[common, tol])
     p.add_argument("--c-range", default=None, help="lo:hi:count, inclusive endpoints")
     p.add_argument("--x0-ratio", dest="x0_ratio", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--steps", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 

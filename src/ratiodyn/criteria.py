@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 from .cycles import TwoCycle, unit_product_cycle
 from .ratio_map import (
-    EPS_CRIT,
     Parameters,
     phi,
     phi_prime,
     phi_double_prime,
-    second_iterate,
     second_iterate_second_derivative,
 )
+from .tolerances import EPS_CRIT, ROOT_TOL
 
 __all__ = [
     "CriterionReport",
@@ -37,6 +36,12 @@ __all__ = [
     "S_second_at_q",
     "criterion_report",
 ]
+
+#: s(t) is evaluated only where |its denominator| >= S_DENOM_FLOOR * max(1, |t|)
+S_DENOM_FLOOR = 1e-12
+#: the central-difference step for s'(q) and s''(q), relative to q
+S_STEP = 1e-4
+
 
 class DegeneracyError(Exception):
     """The denominator of s(t) vanishes where a value is needed."""
@@ -151,7 +156,7 @@ def s_of(params: Parameters, cycle: TwoCycle, t: float) -> float:
     u = phi(params, t)
     u2 = phi(params, u)
     denom = t * theta_of(params, q, t) + p
-    if abs(denom) < 1e-12 * max(1.0, abs(t)):
+    if abs(denom) < S_DENOM_FLOOR * max(1.0, abs(t)):
         raise DegeneracyError(f"denominator of s vanishes at t={t!r}")
     return (
         t
@@ -166,7 +171,7 @@ def s_of(params: Parameters, cycle: TwoCycle, t: float) -> float:
 def _s_derivatives_at_q(params, cycle):
     """(s'(q), s''(q)) by Richardson-extrapolated central differences."""
     q = cycle.q
-    h = 1e-4 * q
+    h = S_STEP * q
 
     def d1(step):
         return (s_of(params, cycle, q + step) - s_of(params, cycle, q - step)) / (2.0 * step)
@@ -202,7 +207,7 @@ class CriterionReport:
     applicable: dict = field(default_factory=dict)
 
 
-def criterion_report(params: Parameters, tol: float = 1e-9):
+def criterion_report(params: Parameters, tol: float = ROOT_TOL):
     """Evaluate every criterion quantity, gating each behind its hypothesis.
 
     kappa applies only at a unit-product cycle with multiplier 1; l and S''(q)
@@ -211,11 +216,13 @@ def criterion_report(params: Parameters, tol: float = 1e-9):
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     sigma = b + 2.0 * c + 3.0 * d
+    # the band classify decides a + b + c + d = 1 in, whatever the root tol
+    at_one = abs(a + b + c + d - 1.0) <= EPS_CRIT
     cyc = unit_product_cycle(params, tol)
     kap = lv = s2q = None
     applicable = {
-        "sigma": abs(a + b + c + d - 1.0) <= tol,
-        "r_second_at_1": abs(a + b + c + d - 1.0) <= tol and abs(sigma - 1.0) <= EPS_CRIT,
+        "sigma": at_one,
+        "r_second_at_1": at_one and abs(sigma - 1.0) <= EPS_CRIT,
         "kappa": False,
         "l_value": False,
         "s_second_at_q": False,

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, real_roots_flagged
-from .ratio_map import EPS_SEARCHED, Parameters, phi, phi_prime
+from .ratio_map import Parameters, phi, phi_prime
+from .tolerances import EPS_SEARCHED, ROOT_TOL
 
 __all__ = [
     "TwoCycle",
@@ -23,6 +24,10 @@ __all__ = [
     "lemma1b_signs",
     "eq2_cycle_family",
 ]
+
+#: a root pairs with the root nearest its phi-image within this relative distance
+PAIR_TOL = 1e-4
+
 
 class PairingError(Exception):
     """A periodic-point root whose phi-image is not among the roots."""
@@ -92,9 +97,9 @@ def _polish_cycle_point(params, t):
             break
         f = phi(params, u) - t
         df = phi_prime(params, t) * phi_prime(params, u) - 1.0
-        # df vanishes at neutral cycles and at the boundary double root;
-        # Newton is meaningless there
-        if abs(df) < 1e-6:
+        # df, the multiplier minus 1, vanishes at neutral cycles and at the
+        # boundary double root; Newton is meaningless there
+        if abs(df) < EPS_SEARCHED:
             break
         step = f / df
         if not abs(step) <= 0.1 * max(1.0, abs(t)):
@@ -109,7 +114,7 @@ def _polish_cycle_point(params, t):
     return t
 
 
-def find_two_cycles(params: Parameters, tol: float = 1e-9):
+def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
     """All positive 2-cycles of phi, canonicalized to p < q and sorted by p.
 
     The degree-6 polynomial is rooted over the whole real line because a
@@ -127,7 +132,7 @@ def find_two_cycles(params: Parameters, tol: float = 1e-9):
     points = [
         r
         for r in roots
-        if abs(phi(params, r) - r) > 1e-6 * max(1.0, abs(r))
+        if abs(phi(params, r) - r) > EPS_SEARCHED * max(1.0, abs(r))
     ]
     cycles = []
     used = set()
@@ -141,7 +146,7 @@ def find_two_cycles(params: Parameters, tol: float = 1e-9):
             if j == i or j in used:
                 continue
             e = abs(r - image)
-            if e <= 1e-4 * max(1.0, abs(image)) and e < err:
+            if e <= PAIR_TOL * max(1.0, abs(image)) and e < err:
                 match, err = j, e
         if match is None:
             raise PairingError(
@@ -155,7 +160,7 @@ def find_two_cycles(params: Parameters, tol: float = 1e-9):
     return cycles
 
 
-def unit_product_cycle(params: Parameters, tol: float = 1e-9):
+def unit_product_cycle(params: Parameters, tol: float = ROOT_TOL):
     """The unique 2-cycle with p*q = 1, built from X^2 - ((a-c)/d) X + 1 = 0.
 
     Exists exactly when (a-c)/d = (d-b+1)/a > 2; the boundary value 2 gives a

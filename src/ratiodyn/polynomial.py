@@ -9,12 +9,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .tolerances import ROOT_TOL
+
 __all__ = [
     "Polynomial",
     "RootIsolationError",
     "real_roots_in",
     "real_roots_flagged",
 ]
+
+
+#: |p(x)| at or under this share of the evaluation scale at x counts as zero
+NOISE_FLOOR = 1e-9
 
 
 class RootIsolationError(Exception):
@@ -41,58 +47,8 @@ class Polynomial:
             return -1  # zero polynomial
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return self.degree < 0
-
     def __call__(self, t: float) -> float:
         return _horner(self.coeffs, t)
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) == 1:
-            return Polynomial([0.0])
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial([other * c for c in self.coeffs])
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t**k."""
-        return Polynomial([0.0] * k + list(self.coeffs))
-
-    def divide(self, q: "Polynomial"):
-        """Synthetic long division: returns (quotient, remainder) with
-        self = q * quotient + remainder and deg(remainder) < deg(q)."""
-        if q.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        qd = q.degree
-        qc = q.coeffs
-        if len(rem) - 1 < qd:
-            return Polynomial([0.0]), Polynomial(rem)
-        quot = [0.0] * (len(rem) - qd)
-        for k in range(len(rem) - 1, qd - 1, -1):
-            f = rem[k] / qc[qd]
-            quot[k - qd] = f
-            for j in range(qd + 1):
-                rem[k - qd + j] -= f * qc[j]
-        return Polynomial(quot), Polynomial(rem[:qd])
 
     def cauchy_bound(self) -> float:
         """All real roots lie in (-B, B) with B = 1 + max |c_i / c_n|."""
@@ -100,9 +56,6 @@ class Polynomial:
         if lead == 0.0:
             return 1.0
         return 1.0 + max(abs(c / lead) for c in self.coeffs[:-1])
-
-    def max_abs_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
 
 
 def _horner(coeffs, x):
@@ -189,7 +142,7 @@ def _roots(coeffs, lo, hi, tol):
             # two critical points closer than the resolution: signs next to a
             # potential root in between cannot be trusted
             m = 0.5 * (a + b)
-            if abs(_horner(coeffs, m)) <= 1e-9 * _scale_at(coeffs, m):
+            if abs(_horner(coeffs, m)) <= NOISE_FLOOR * _scale_at(coeffs, m):
                 raise RootIsolationError(
                     f"cannot separate roots near {m!r} at tol={tol!r}"
                 )
@@ -200,14 +153,14 @@ def _roots(coeffs, lo, hi, tol):
                 roots.append((r, True))
     # even-multiplicity roots sit at critical points without a sign change
     for x, fx in zip(crit, vals[1:]):
-        if abs(fx) <= 1e-9 * _scale_at(coeffs, x):
+        if abs(fx) <= NOISE_FLOOR * _scale_at(coeffs, x):
             if not any(abs(x - r) <= 10.0 * tol * max(1.0, abs(x)) for r, _ in roots):
                 roots.append((x, False))
     roots.sort(key=lambda rs: rs[0])
     return roots
 
 
-def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
+def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL):
     """All real roots of p in (lo, hi) as (root, simple) pairs, ascending.
 
     Roots of the derivative partition (lo, hi) into intervals on which p is
@@ -234,6 +187,6 @@ def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
     return _roots(p.coeffs, lo, hi, tol)
 
 
-def real_roots_in(p: Polynomial, lo: float, hi: float, tol: float = 1e-9):
+def real_roots_in(p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL):
     """Sorted real roots of p in (lo, hi), including even-multiplicity ones."""
     return [r for r, _ in real_roots_flagged(p, lo, hi, tol)]

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, real_roots_flagged
+from .tolerances import EPS_CRIT, ROOT_TOL
 
 __all__ = [
     "Parameters",
@@ -34,12 +35,6 @@ __all__ = [
 ATTRACTING = "attracting"
 REPELLING = "repelling"
 NEUTRAL = "neutral"
-
-#: the bands within which a quantity counts as equal to 1 (a limit at t = 1
-#: or on p*q = 1, a multiplier of +-1): EPS_CRIT for analytic quantities,
-#: EPS_SEARCHED for values that come out of a root search
-EPS_CRIT = 1e-9
-EPS_SEARCHED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def classify_multiplier(multiplier: float) -> str:
     return NEUTRAL
 
 
-def equilibria(params: Parameters, tol: float = 1e-9):
+def equilibria(params: Parameters, tol: float = ROOT_TOL):
     """All positive equilibria of phi, ascending, with multiplier and stability."""
     roots = real_roots_flagged(fixed_point_poly(params), 0.0, math.inf, tol)
     out = []
@@ -154,7 +149,7 @@ def second_iterate_second_derivative(params: Parameters, p: float, q: float) -> 
     )
 
 
-def negative_escape_region(params: Parameters, tol: float = 1e-9):
+def negative_escape_region(params: Parameters, tol: float = ROOT_TOL):
     """The pair (r, r') with phi(r) = 0 and phi(r') = r on the negative axis.
 
     Ratios starting in (-inf, r) or (r', 0) turn positive within three steps.

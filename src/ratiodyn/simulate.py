@@ -21,6 +21,10 @@ from .outcomes import (
     UNDETERMINED,
 )
 from .ratio_map import Parameters
+from .tolerances import (
+    DEFAULT_BUDGET, DEFAULT_ZERO_GUARD, ORACLE_MIN_BUDGET,
+    TAIL_TOL, TAIL_WINDOW, THETA_DOWN, THETA_UP,
+)
 
 __all__ = [
     "RatioTrajectory",
@@ -48,11 +52,8 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 MIXED = "mixed"
 
-DEFAULT_ZERO_GUARD = 1e-300
-#: log10 |x| thresholds for the empirical divergence / vanishing calls
-THETA_UP = 12.0
-THETA_DOWN = -12.0
-
+#: the oracle's steps between checks, at least a detector window
+ORACLE_CHUNK = max(TAIL_WINDOW, 256)
 _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step)
 
 
@@ -74,18 +75,16 @@ class SolutionTrajectory:
     signs: list
     ratios: list
     status: str
-    first_index: int = -1
 
     def __len__(self):
         return len(self.log_magnitudes)
 
     def value(self, n: int) -> float:
         """x_n in direct space; only representable while |log10| < 300."""
-        i = n - self.first_index
-        lm = self.log_magnitudes[i]
+        lm = self.log_magnitudes[n + 1]
         if abs(lm) >= 300.0:
             raise OverflowError(f"|x_{n}| is 10^{lm:.1f}, not representable")
-        return self.signs[i] * 10.0 ** lm
+        return self.signs[n + 1] * 10.0 ** lm
 
 
 @dataclass(frozen=True)
@@ -197,19 +196,17 @@ def _spread_ok(tail, tol):
     return (max(tail) - min(tail)) <= tol * max(1.0, abs(m)), m
 
 
-def detect_ratio_limit(traj: RatioTrajectory, tol: float = 1e-8, window: int = 64) -> LimitReport:
+def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitReport:
     """Classify the tail of a ratio orbit as equilibrium, 2-cycle, or neither.
 
-    Equilibrium: the last ``window`` values agree to tol.  2-cycle: even and
+    Equilibrium: the last TAIL_WINDOW values agree to tol.  2-cycle: even and
     odd tails each agree to tol but sit more than 10 tol apart.  Reported
     values are tail means; the residual is the phi-closure defect.
     """
-    if window < 4:
-        raise ValueError("need window >= 4")
     vals = traj.values
-    if len(vals) < window:
+    if len(vals) < TAIL_WINDOW:
         return LimitReport(kind="none", values=(), residual=math.inf)
-    tail = vals[-window:]
+    tail = vals[-TAIL_WINDOW:]
     ok, m = _spread_ok(tail, tol)
     if ok:
         return LimitReport(kind="equilibrium", values=(m,), residual=max(abs(v - m) for v in tail))
@@ -229,10 +226,10 @@ def _trend(logs, frac=0.1):
     return logs[-1] - logs[-1 - k]
 
 
-def _stabilized(logs, signs, tol, window):
-    if max(map(abs, logs[-2 * window:])) >= 300.0:
+def _stabilized(logs, signs, tol):
+    if max(map(abs, logs[-2 * TAIL_WINDOW:])) >= 300.0:
         return None
-    tail = [s * 10.0 ** lm for s, lm in zip(signs[-window:], logs[-window:])]
+    tail = [s * 10.0 ** lm for s, lm in zip(signs[-TAIL_WINDOW:], logs[-TAIL_WINDOW:])]
     m = sum(tail) / len(tail)
     if m != 0.0 and (max(tail) - min(tail)) <= tol * abs(m):
         return CONVERGES_TO_EQUILIBRIUM
@@ -252,31 +249,27 @@ def empirical_class(
     params: Parameters,
     x_minus1: float,
     x0: float,
-    budget: int = 100000,
-    theta_up: float = THETA_UP,
-    theta_down: float = THETA_DOWN,
-    tol: float = 1e-8,
-    window: int = 64,
+    budget: int = DEFAULT_BUDGET,
+    tol: float = TAIL_TOL,
     zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> str:
     """Brute-force oracle: iterate and call the asymptotic class from evidence.
 
-    Divergence / vanishing require crossing theta_up / theta_down decades with
+    Divergence / vanishing require crossing THETA_UP / THETA_DOWN decades with
     a confirming trend over the trailing 10% of steps; bounded orbits are
     called once their tail (or its even/odd split) stabilizes.
     """
-    if budget < 1000:
-        raise ValueError("need budget >= 1000")
+    if budget < ORACLE_MIN_BUDGET:
+        raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
     if x_minus1 == 0.0 or x0 == 0.0:
         raise ValueError("initial conditions must be nonzero")
     t = x0 / x_minus1
     # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
     logs = array("d", [math.log10(abs(x0))])
     signs = array("b", [1 if x0 > 0 else -1])
-    check_every = max(window, 256)
-    for done in range(0, budget, check_every):
+    for done in range(0, budget, ORACLE_CHUNK):
         ratios = []
-        t, stopped = advance_ratio(params, t, min(check_every, budget - done), zero_guard, ratios)
+        t, stopped = advance_ratio(params, t, min(ORACLE_CHUNK, budget - done), zero_guard, ratios)
         start = len(logs)
         try:
             logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])
@@ -293,12 +286,12 @@ def empirical_class(
         else:
             signs.fromlist(_signs(signs.pop(), ratios))
         lm = logs[-1]
-        if lm > theta_up and _trend(logs) > 0.0:
+        if lm > THETA_UP and _trend(logs) > 0.0:
             return DIVERGES_TO_INFINITY
-        if lm < theta_down and _trend(logs) < 0.0:
+        if lm < THETA_DOWN and _trend(logs) < 0.0:
             return CONVERGES_TO_ZERO
-        if len(logs) >= 2 * window:
-            verdict = _stabilized(logs, signs, tol, window)
+        if len(logs) >= 2 * TAIL_WINDOW:
+            verdict = _stabilized(logs, signs, tol)
             if verdict is not None:
                 return verdict
     return UNDETERMINED
@@ -315,13 +308,8 @@ def _cmp_step(s1, l1, s2, l2):
     return -s1
 
 
-def subsequence_monotonicity(
-    traj: SolutionTrajectory,
-    stride: int,
-    offset: int,
-    tail_fraction: float = 0.25,
-) -> str:
-    """Strict-majority direction of x_{stride*k + offset} over its trailing part.
+def subsequence_monotonicity(traj: SolutionTrajectory, stride: int, offset: int) -> str:
+    """Strict-majority direction of x_{stride*k + offset} over its trailing quarter.
 
     Steps smaller than 1e-14 relative count as ties; a subsequence shorter
     than 8 elements reports ``mixed``.
@@ -330,14 +318,11 @@ def subsequence_monotonicity(
         raise ValueError("stride must be 1, 2, or 4")
     if not 0 <= offset < stride:
         raise ValueError("need 0 <= offset < stride")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("need 0 < tail_fraction <= 1")
-    start = -traj.first_index + offset  # position of x_offset
-    idx = list(range(start, len(traj.log_magnitudes), stride))
+    # x_offset sits at position 1 + offset
+    idx = list(range(1 + offset, len(traj.log_magnitudes), stride))
     if len(idx) < 8:
         return MIXED
-    k = max(2, int(len(idx) * tail_fraction))
-    idx = idx[-k:]
+    idx = idx[-max(2, len(idx) // 4):]
     inc = dec = 0
     for i, j in zip(idx, idx[1:]):
         step = _cmp_step(traj.signs[i], traj.log_magnitudes[i], traj.signs[j], traj.log_magnitudes[j])

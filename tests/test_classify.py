@@ -29,8 +29,9 @@ from ratiodyn.outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from ratiodyn.ratio_map import EPS_SEARCHED, Equilibrium, Parameters, equilibria
+from ratiodyn.ratio_map import Equilibrium, Parameters, equilibria
 from ratiodyn.simulate import DECREASING, INCREASING
+from ratiodyn.tolerances import EPS_SEARCHED
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)

@@ -229,6 +229,18 @@ def test_analyze_and_classify_share_the_unit_band():
     assert classify(params, 1.0, 0.9).rule == "T1.c2"
 
 
+def test_analyze_gates_the_unit_sum_as_classify_does_at_any_tol():
+    # a + b + c + d = 1 + 5e-8: the equilibrium reads T1.a, which holds only
+    # off a + b + c + d = 1, so the criteria that need the sum at 1 are not met
+    code, out = run_cli("analyze", "--params", "0.20000005,1.7,-2,1.1", "--tol", "1e-6")
+    assert code == 0
+    assert "via T1.a" in out
+    assert "sigma = 1.0000000000000004  (hypotheses not met)" in out
+    assert "(hypotheses not met)" in next(
+        line for line in out.splitlines() if "r_second_at_1" in line
+    )
+
+
 def test_verify_paper_passes():
     code, out = run_cli("verify-paper")
     assert code == 0
