@@ -300,6 +300,28 @@ def _identify(params, det, eqs, cycles):
     return None, _nearest_cycle(cycles, *det.values)
 
 
+def _mean_distance(vals, pts):
+    """Mean over ``vals`` of the distance from each t to the nearest of
+    ``pts`` (one equilibrium, or a 2-cycle's p < q), as floats."""
+    if len(pts) == 2:
+        p, q = pts
+        lo, hi = min(vals), max(vals)
+        # Rounding is monotone and symmetric in sign.  So if hi - p < q - hi
+        # in floats, then for every t <= hi the float |t - p| is at most
+        # the float |t - q|: for p <= t, fl(t - p) <= fl(hi - p) <
+        # fl(q - hi) <= fl(q - t), since t - p <= hi - p and q - hi <= q - t
+        # exactly; for t < p, p - t < q - t exactly.  The float min of the
+        # two is then |t - p| for every t, and the mirror holds for q.  A
+        # non-finite t is as far from p as from q.  min and max pass over a
+        # nan unless it comes first, and then both tests fail.
+        if hi - p < q - hi:
+            pts = (p,)
+        elif q - lo < lo - p:
+            pts = (q,)
+    dists = [map(abs, map(operator.sub, vals, repeat(v))) for v in pts]
+    return sum(map(min, *dists) if len(dists) > 1 else dists[0]) / len(vals)
+
+
 def _proximity_identify(values, eqs, cycles):
     """Identify a slowly-approached limit by shrinking distance to a known
     attractor; used when the tail-spread detector has not converged yet
@@ -311,18 +333,13 @@ def _proximity_identify(values, eqs, cycles):
     early = values[n - 2 * quarter : n - quarter]
     late = values[n - quarter :]
 
-    def errs(vals, pts):
-        # per point the distance of each t from it; for a cycle, the nearer one
-        dists = [map(abs, map(operator.sub, vals, repeat(v))) for v in pts]
-        return sum(map(min, *dists) if len(dists) > 1 else dists[0]) / len(vals)
-
     best = None
     for obj, pts in [(e, (e.value,)) for e in eqs] + [
         (c, (c.p, c.q)) for c in cycles
     ]:
         scale = max(1.0, max(abs(v) for v in pts))
-        e_late = errs(late, pts)
-        if e_late < 0.02 * scale and e_late <= 0.95 * errs(early, pts):
+        e_late = _mean_distance(late, pts)
+        if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts):
             if best is None or e_late / scale < best[1]:
                 best = (obj, e_late / scale)
     return None if best is None else best[0]
@@ -347,7 +364,12 @@ def classify(
     the walk stops there.  An orbit that lands exactly on the limit within a
     few steps (the preimage-set case) gets the exact-landing verdict.  If no
     limit can be identified within the budget the empirical oracle's class
-    is returned.
+    is returned.  The oracle reads the walked ratios and walks on only past
+    them.
+
+    ``tol`` is the tail tolerance of the walk and of the oracle.  Its
+    default is ``TAIL_TOL`` (1e-8), while ``ratiodyn classify`` and
+    ``ratiodyn sweep`` pass ``--tol``, whose default is 1e-9.
     """
     if not (math.isfinite(x_minus1) and math.isfinite(x0)):
         raise ValueError("initial conditions must be finite")
@@ -396,7 +418,8 @@ def classify(
             cyc = hit
 
     oracle = empirical_class(
-        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol, zero_guard=zero_guard
+        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol,
+        zero_guard=zero_guard, values=values,
     )
     note = _ORACLE_NOTES[oracle]
 

@@ -252,24 +252,41 @@ def empirical_class(
     budget: int = DEFAULT_BUDGET,
     tol: float = TAIL_TOL,
     zero_guard: float = DEFAULT_ZERO_GUARD,
+    *,
+    values=None,
 ) -> str:
     """Brute-force oracle: iterate and call the asymptotic class from evidence.
 
     Divergence / vanishing require crossing THETA_UP / THETA_DOWN decades with
     a confirming trend over the trailing 10% of steps; bounded orbits are
     called once their tail (or its even/odd split) stabilizes.
+
+    ``values`` are ratios already walked from this start with these
+    ``params`` and ``zero_guard``, ``t_0 = x0 / x_minus1`` first, as a list
+    or an ``array("d")``.  The oracle reads them chunk by chunk and applies
+    the ratio map only past their end, so its answer is the one a walk from
+    the start gives.  Without them it knows only ``t_0``.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
     if x_minus1 == 0.0 or x0 == 0.0:
         raise ValueError("initial conditions must be nonzero")
-    t = x0 / x_minus1
+    if values is None:
+        values = [x0 / x_minus1]
+    elif not values or values[0] != x0 / x_minus1:
+        raise ValueError("values must start at x0 / x_minus1")
+    t = values[-1]
     # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
     logs = array("d", [math.log10(abs(x0))])
     signs = array("b", [1 if x0 > 0 else -1])
     for done in range(0, budget, ORACLE_CHUNK):
-        ratios = []
-        t, stopped = advance_ratio(params, t, min(ORACLE_CHUNK, budget - done), zero_guard, ratios)
+        n = min(ORACLE_CHUNK, budget - done)
+        # a slice, not a copy of the whole walk; past its end, walk on from t
+        ratios = values[done + 1 : done + 1 + n]
+        stopped = False
+        if len(ratios) < n:
+            ratios = list(ratios)
+            t, stopped = advance_ratio(params, t, n - len(ratios), zero_guard, ratios)
         start = len(logs)
         try:
             logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])

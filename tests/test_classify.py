@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from ratiodyn.classify import (
     classify_equilibrium_limit,
     classify_remark,
     _landing_index,
+    _mean_distance,
 )
 from ratiodyn.cycles import find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
@@ -30,8 +32,8 @@ from ratiodyn.outcomes import (
     UNDETERMINED,
 )
 from ratiodyn.ratio_map import Equilibrium, Parameters, equilibria
-from ratiodyn.simulate import DECREASING, INCREASING
-from ratiodyn.tolerances import EPS_SEARCHED
+from ratiodyn.simulate import DECREASING, INCREASING, empirical_class
+from ratiodyn.tolerances import DEFAULT_ZERO_GUARD, EPS_SEARCHED, TAIL_TOL
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
@@ -312,6 +314,94 @@ def test_early_check_passes_over_a_stay_near_a_repelling_limit(monkeypatch):
     v, steps = walked_steps(monkeypatch, params, 1.0)
     assert v == Verdict(DIVERGES_TO_INFINITY, "T2.a", notes="oracle=diverges_to_infinity")
     assert 64 < steps <= 1024
+
+
+def oracle_answer(v):
+    """The oracle's class as classify reports it: the verdict itself when no
+    limit was identified, else its ``oracle=`` note."""
+    if v.rule == "oracle":
+        return v.asymptotic_class
+    (note,) = [n for n in v.notes.split("; ") if n.startswith("oracle=")]
+    return note[len("oracle="):]
+
+
+def test_classify_oracle_equals_a_standalone_oracle():
+    cases = [
+        # x_{-1} != 1
+        (UNIT_CYCLE_EXAMPLE, 2.0, 3.0, {}),
+        # the oracle walks on past classify's 500 ratios to its least budget
+        (NEUTRAL_EXAMPLE, 1.0, 1.5, {"budget": 500}),
+        # a 1024-step walk
+        (ALL_REPELLING, 1.0, 1.0, {}),
+        # the walk breaks at a ratio that is not finite
+        (NEUTRAL_EXAMPLE, 1.0, 1e-105, {}),
+        # an early detection after 128 steps, inside an oracle chunk
+        (UNIT_CYCLE_EXAMPLE, 1.0, 3.0, {"tol": 1e-9}),
+        # Example A walks its whole budget
+        (NEUTRAL_EXAMPLE, 1.0, 1.5, {}),
+    ]
+    for params, x_minus1, x0, kwargs in cases:
+        v = classify(params, x_minus1, x0, **kwargs)
+        alone = empirical_class(
+            params, x_minus1, x0, max(kwargs.get("budget", 100000), 1000),
+            kwargs.get("tol", TAIL_TOL), DEFAULT_ZERO_GUARD,
+        )
+        assert oracle_answer(v) == alone, (params, x_minus1, x0, kwargs)
+
+
+def test_classify_walks_each_ratio_once(monkeypatch):
+    steps = [0]
+    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
+        module = sys.modules[name]
+
+        def counting(params, t, n, zero_guard, out, advance=module.advance_ratio):
+            before = len(out)
+            result = advance(params, t, n, zero_guard, out)
+            steps[0] += len(out) - before
+            return result
+
+        monkeypatch.setattr(module, "advance_ratio", counting)
+    v = classify(NEUTRAL_EXAMPLE, 1.0, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    # the oracle reads the 1e5 ratios classify walked and walks none itself
+    assert steps[0] == 100000
+
+
+def two_point_distance(vals, p, q):
+    return sum(map(min, [abs(t - p) for t in vals], [abs(t - q) for t in vals])) / len(vals)
+
+
+def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
+    p, q = 0.3, 1.7
+    mid = (p + q) / 2.0
+    below, above = math.nextafter(mid, -math.inf), math.nextafter(mid, math.inf)
+    tails = [
+        [0.1, 0.2, 0.29999999999999993],  # all below p
+        [1.7000000000000002, 5.0, 1e300],  # all above q
+        [0.3, 0.5, 0.9, below],  # between p and the midpoint
+        [0.31, below], [0.31, mid], [0.31, above],  # one ulp either side of it
+        [above, 1.2, 1.69], [mid, 1.69], [below, 1.69],
+        [0.5, 1.5], [0.1, 1.0, 2.5],  # across the midpoint
+        [0.4, math.inf], [math.inf, 0.4], [-math.inf, 0.4], [2.5, math.inf],
+        [math.inf, math.inf], [-math.inf],
+        [0.4, math.nan], [math.nan, 0.4], [math.nan, 2.5], [2.5, math.nan, 0.4],
+    ]
+    cases = [(p, q, vals) for vals in tails]
+    # tails of a random cycle that reach to within three ulps of its
+    # midpoint from below, from above, or cross it
+    rng = random.Random(3)
+    for _ in range(300):
+        p, q = sorted(rng.uniform(-3.0, 5.0) for _ in range(2))
+        mid = (p + q) / 2.0
+        ulps = [mid]
+        for _ in range(3):
+            ulps = [math.nextafter(ulps[0], -math.inf), *ulps, math.nextafter(ulps[-1], math.inf)]
+        lo, hi = rng.choice([(p - 1.0, mid), (mid, q + 1.0), (p - 1.0, q + 1.0)])
+        near = [u for u in ulps if lo < u < hi]
+        cases.append((p, q, [rng.uniform(lo, hi) for _ in range(8)] + near))
+    for p, q, vals in cases:
+        got, want = _mean_distance(vals, (p, q)), two_point_distance(vals, p, q)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (p, q, vals)
 
 
 def test_landing_index_window():

@@ -1,4 +1,6 @@
 import math
+import sys
+from array import array
 
 import pytest
 
@@ -203,6 +205,42 @@ def test_solution_stops_at_a_zero_ratio():
         assert traj.signs == [1, 1]
 
 
+def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
+    module = sys.modules["ratiodyn.simulate"]
+    stabilized = module._stabilized
+
+    def checks(**kwargs):
+        """What the oracle decides on at each chunk: the step count, the last
+        log10 |x_n| and the last sign."""
+        seen = []
+
+        def recording(logs, signs, tol):
+            seen.append((len(logs), logs[-1], signs[-1]))
+            return stabilized(logs, signs, tol)
+
+        monkeypatch.setattr(module, "_stabilized", recording)
+        return empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, **kwargs), seen
+
+    walk = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 6000).values
+    alone = checks()
+    assert alone[0] == UNDETERMINED and len(alone[1]) == 5000 // 256 + 1
+    # the oracle's logs start at x_0, the trajectory's at x_{-1}
+    traj = iterate_solution(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000)
+    assert alone[1] == [(n, traj.log_magnitudes[n], traj.signs[n]) for n, _, _ in alone[1]]
+    # prefixes that end inside a chunk, on its boundary, and past the budget
+    for k in (1, 2, 200, 256, 257, 700, 5001, 6001):
+        assert checks(values=walk[:k]) == alone, k
+        assert checks(values=array("d", walk[:k])) == alone, k
+
+
 def test_empirical_budget_validation():
     with pytest.raises(ValueError):
         empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.0, 10)
+    # walked ratios must start at t_0 = x0 / x_minus1
+    walked = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 300).values
+    with pytest.raises(ValueError, match="x0 / x_minus1"):
+        empirical_class(NEUTRAL_EXAMPLE, 1.0, 2.0, values=walked)
+    with pytest.raises(ValueError, match="x0 / x_minus1"):
+        empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.5, values=walked[1:])
+    with pytest.raises(ValueError, match="x0 / x_minus1"):
+        empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.5, values=[])
