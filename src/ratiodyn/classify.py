@@ -29,11 +29,9 @@ from .outcomes import (
 from .ratio_map import (
     Equilibrium,
     Parameters,
-    classify_multiplier,
     critical_points,
     equilibria,
     phi,
-    phi_prime,
 )
 from .simulate import (
     DECREASING,
@@ -288,15 +286,16 @@ def _nearest_cycle(cycles, lo, hi):
     return None
 
 
-def _identify(params, det, eqs, cycles):
-    """The (equilibrium, 2-cycle) pair a tail detection points at; a detected
-    equilibrium missing from ``eqs`` is taken as found, a 2-cycle is not."""
+def _identify(det, eqs, cycles):
+    """The (equilibrium, 2-cycle) pair a tail detection points at, or
+    (None, None) when it names no known one."""
     if det.kind == "equilibrium":
-        eq = _nearest_equilibrium(eqs, det.values[0])
-        if eq is None:
-            m = phi_prime(params, det.values[0])
-            eq = Equilibrium(det.values[0], m, classify_multiplier(m))
-        return eq, None
+        # ``eqs`` holds every positive equilibrium, and a ratio orbit from a
+        # positive start never settles on a negative one t = -s.  For c > 0,
+        # phi maps (0, inf) into itself.  For c <= 0, -s is a root of the
+        # quartic, so s^4 = b s^2 + |c| s + d - a s^3 < b s^2 + 2|c| s + 3d,
+        # and |phi'(-s)| = (b s^2 + 2|c| s + 3d) / s^4 > 1: -s repels.
+        return _nearest_equilibrium(eqs, det.values[0]), None
     return None, _nearest_cycle(cycles, *det.values)
 
 
@@ -398,7 +397,7 @@ def classify(
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
-            eq, cyc = _identify(params, det, eqs, cycles)
+            eq, cyc = _identify(det, eqs, cycles)
             limit = eq or cyc
             # an early check accepts only an attracting limit, which the orbit
             # does not leave again; a stay near a repelling one can end later

@@ -117,22 +117,23 @@ def _polish_cycle_point(params, t):
 def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
     """All positive 2-cycles of phi, canonicalized to p < q and sorted by p.
 
-    The degree-6 polynomial is rooted over the whole real line because a
-    positive periodic point can have a negative partner; pairing via
-    q = phi(p) then always closes.  Fixed points (the quartic re-entering
-    as a multiple root on the (a-c)/d = 2 boundary) are discarded, cycles
-    with a nonpositive point are dropped after pairing, and a root whose
-    image matches no other root is a hard error rather than a silent
-    omission.
+    The degree-6 polynomial is rooted on the positive half-line only.  A
+    positive root p with phi(p) <= 0 belongs to a cycle with a nonpositive
+    point, which is not reported, so p is skipped without looking for its
+    partner.  Fixed points (the quartic re-entering as a multiple root on
+    the (a-c)/d = 2 boundary) are discarded, and a positive root whose
+    positive image matches no other root is a hard error rather than a
+    silent omission.
     """
     poly = two_cycle_poly(params)
-    roots = [r for r, _ in real_roots_flagged(poly, -math.inf, 0.0, tol)]
-    roots += [r for r, _ in real_roots_flagged(poly, 0.0, math.inf, tol)]
-    roots = [_polish_cycle_point(params, r) for r in roots]
+    roots = [
+        _polish_cycle_point(params, r)
+        for r, _ in real_roots_flagged(poly, 0.0, math.inf, tol)
+    ]
     points = [
         r
         for r in roots
-        if abs(phi(params, r) - r) > EPS_SEARCHED * max(1.0, abs(r))
+        if (u := phi(params, r)) > 0.0 and abs(u - r) > EPS_SEARCHED * max(1.0, r)
     ]
     cycles = []
     used = set()
@@ -146,7 +147,7 @@ def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
             if j == i or j in used:
                 continue
             e = abs(r - image)
-            if e <= PAIR_TOL * max(1.0, abs(image)) and e < err:
+            if e <= PAIR_TOL * max(1.0, image) and e < err:
                 match, err = j, e
         if match is None:
             raise PairingError(
@@ -154,8 +155,7 @@ def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
                 f"periodic-point roots {points!r}"
             )
         used.update((i, match))
-        if p > 0.0 and points[match] > 0.0:
-            cycles.append(_make_cycle(params, p, points[match]))
+        cycles.append(_make_cycle(params, p, points[match]))
     cycles.sort(key=lambda cyc: cyc.p)
     return cycles
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, islice, takewhile
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -299,7 +299,7 @@ def empirical_class(
         if stopped:
             return ITERATION_STOPS
         if min(ratios) > 0.0:
-            signs.extend(repeat(signs[-1], len(ratios)))
+            signs.extend(array("b", [signs[-1]]) * len(ratios))
         else:
             signs.fromlist(_signs(signs.pop(), ratios))
         lm = logs[-1]

@@ -18,6 +18,7 @@ from ratiodyn.classify import (
     classify_cycle_limit,
     classify_equilibrium_limit,
     classify_remark,
+    _identify,
     _landing_index,
     _mean_distance,
 )
@@ -31,8 +32,11 @@ from ratiodyn.outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from ratiodyn.ratio_map import Equilibrium, Parameters, equilibria
-from ratiodyn.simulate import DECREASING, INCREASING, empirical_class
+from ratiodyn.polynomial import real_roots_in
+from ratiodyn.ratio_map import (
+    Equilibrium, Parameters, equilibria, fixed_point_poly, phi, phi_prime,
+)
+from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class
 from ratiodyn.tolerances import DEFAULT_ZERO_GUARD, EPS_SEARCHED, TAIL_TOL
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
@@ -402,6 +406,17 @@ def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
     for p, q, vals in cases:
         got, want = _mean_distance(vals, (p, q)), two_point_distance(vals, p, q)
         assert got == want or (math.isnan(got) and math.isnan(want)), (p, q, vals)
+
+
+def test_identify_names_no_limit_at_an_unknown_equilibrium():
+    eqs = equilibria(NEUTRAL_EXAMPLE)
+    (neg,) = real_roots_in(fixed_point_poly(NEUTRAL_EXAMPLE), -math.inf, 0.0)
+    assert phi(NEUTRAL_EXAMPLE, neg) == pytest.approx(neg, rel=1e-12)
+    # a negative equilibrium repels, so a positive start never settles there
+    assert abs(phi_prime(NEUTRAL_EXAMPLE, neg)) > 1.0
+    assert _identify(LimitReport("equilibrium", (neg,), 0.0), eqs, []) == (None, None)
+    (one,) = [e for e in eqs if abs(e.value - 1.0) <= 1e-6]
+    assert _identify(LimitReport("equilibrium", (1.0,), 0.0), eqs, []) == (one, None)
 
 
 def test_landing_index_window():

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
 from ratiodyn.cycles import (
+    PairingError,
     _two_cycle_coeffs,
     eq2_cycle_family,
     find_two_cycles,
@@ -12,9 +14,15 @@ from ratiodyn.cycles import (
     unit_product_cycle,
 )
 from ratiodyn.ratio_map import Parameters, phi, phi_prime
+from test_classify_golden import FORMER_PAIRING_ERRORS
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
+# the float root search finds a double root of the sextic near -0.0263 here,
+# but the exact sextic of these float parameters has no real root at all
+NO_REAL_ROOT = Parameters(
+    1.0444134324050813, 1.4836243979888806, 2.9007033971215943, 0.07525762681245518
+)
 
 
 def second_order_step(p, x_prev, x_cur):
@@ -124,3 +132,70 @@ def test_cycle_family_needs_unit_product():
     cycles = find_two_cycles(UNIT_CYCLE_EXAMPLE)
     with pytest.raises(ValueError):
         eq2_cycle_family(cycles[0], 1.0)
+
+
+def test_sextic_is_rooted_once_on_the_positive_half_line(monkeypatch):
+    module = sys.modules["ratiodyn.cycles"]
+    real = module.real_roots_flagged
+    calls = []
+
+    def recording(poly, lo, hi, *args):
+        calls.append((lo, hi))
+        return real(poly, lo, hi, *args)
+
+    monkeypatch.setattr(module, "real_roots_flagged", recording)
+    for params in (NEUTRAL_EXAMPLE, UNIT_CYCLE_EXAMPLE, NO_REAL_ROOT):
+        calls.clear()
+        find_two_cycles(params)
+        assert calls == [(0.0, math.inf)]
+
+
+def test_no_pairing_error_on_the_fuzz_box():
+    # the draws of the classify golden file's box, under another seed
+    rng = random.Random(12345)
+    for _ in range(6000):
+        a, b, d = (rng.uniform(0.05, 3.0) for _ in range(3))
+        c = rng.uniform(-6.0, 3.0)
+        rng.uniform(0.2, 5.0)  # x0
+        try:
+            find_two_cycles(Parameters(a, b, c, d))
+        except PairingError as exc:
+            pytest.fail(f"{(a, b, c, d)!r}: {exc}")
+
+
+def exact_positive_cycles(params, digits=50):
+    """The positive 2-cycles (p, q) of phi from the exact real roots of the
+    sextic with the float parameters' exact rational values, paired via phi
+    at ``digits`` significant digits."""
+    sp = pytest.importorskip("sympy")
+    a, b, c, d = (sp.Rational(v) for v in (params.a, params.b, params.c, params.d))
+    t = sp.Symbol("t")
+    sextic = sp.Poly(sum(k * t**i for i, k in enumerate(_two_cycle_coeffs(a, b, c, d))), t)
+    roots = [r.evalf(digits) for r in sp.real_roots(sextic) if r > 0]
+    tiny = sp.Float(10) ** (10 - digits)
+
+    def image(r):
+        return a + b / r + c / r**2 + d / r**3
+
+    cycles = []
+    for r in roots:
+        u = image(r)
+        if u <= 0 or abs(u - r) <= tiny * r:
+            continue  # a cycle with a nonpositive point, or a fixed point
+        assert min(abs(s - u) for s in roots) <= tiny * u
+        if r < u:
+            cycles.append((float(r), float(u)))
+    return cycles
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    [(NO_REAL_ROOT, 0), *((Parameters(*p), 1) for p in FORMER_PAIRING_ERRORS)],
+)
+def test_cycles_match_the_exact_sextic_roots(params, count):
+    want = exact_positive_cycles(params)
+    got = find_two_cycles(params)
+    assert len(got) == len(want) == count
+    for cyc, (p, q) in zip(got, want):
+        assert cyc.p == pytest.approx(p, rel=1e-12)
+        assert cyc.q == pytest.approx(q, rel=1e-12)
