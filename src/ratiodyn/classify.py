@@ -39,8 +39,10 @@ from .simulate import (
     RatioTrajectory,
     COMPLETED,
     advance_ratio,
+    closed_period,
     detect_ratio_limit,
     empirical_class,
+    replay,
     solution_trajectory,
     subsequence_monotonicity,
 )
@@ -364,7 +366,9 @@ def classify(
     few steps (the preimage-set case) gets the exact-landing verdict.  If no
     limit can be identified within the budget the empirical oracle's class
     is returned.  The oracle reads the walked ratios and walks on only past
-    them.
+    them.  Once the float orbit repeats a value it is periodic for ever, so
+    the walk and the oracle replay that cycle instead of applying the map,
+    with the same checks and the same answers.
 
     ``tol`` is the tail tolerance of the walk and of the oracle.  Its
     default is ``TAIL_TOL`` (1e-8), while ``ratiodyn classify`` and
@@ -386,15 +390,21 @@ def classify(
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
     values = array("d", [t])
     done = 0
+    k = None  # the period of the float cycle the ratios closed on, once they have
     eq = cyc = None
     while done < walk:
         n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
-        chunk = []
-        t, stopped = advance_ratio(params, t, n, zero_guard, chunk)
-        values.fromlist(chunk)
+        if k is None:
+            chunk = []
+            t, stopped = advance_ratio(params, t, n, zero_guard, chunk)
+            values.fromlist(chunk)
+            if stopped:
+                return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
+            k = closed_period(values)
+        else:
+            # values end with the cycle, so its next n ratios start it over
+            values.extend(replay(values[-k:], 0, n))
         done += n
-        if stopped:
-            return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
             eq, cyc = _identify(det, eqs, cycles)

@@ -31,6 +31,8 @@ __all__ = [
     "SolutionTrajectory",
     "LimitReport",
     "advance_ratio",
+    "closed_period",
+    "replay",
     "iterate_ratio",
     "solution_trajectory",
     "iterate_solution",
@@ -55,6 +57,9 @@ MIXED = "mixed"
 #: the oracle's steps between checks, at least a detector window
 ORACLE_CHUNK = max(TAIL_WINDOW, 256)
 _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step)
+#: absolute slack, in units of a window's largest |x|, of the log-space
+#: precheck in _stabilized (its proof is there)
+_SETTLE_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,47 @@ def advance_ratio(params, t, n, zero_guard, out):
     except ZeroDivisionError:
         return t, True
     return t, False
+
+
+def closed_period(ratios):
+    """The period k of a float cycle the ratio orbit has closed on, or None.
+
+    ``ratios`` are consecutive ratios of one ``advance_ratio`` walk, oldest
+    first.  k is the least k <= TAIL_WINDOW with
+    ``ratios[-1] == ratios[-1 - k]``.  From there on the walk repeats the
+    floats ``ratios[-k:]`` for ever, whatever its budget:
+
+    - ``advance_ratio`` maps the one float t to the next by a fixed sequence
+      of float operations, each rounded by CPython on its own (no FMA
+      contraction), so equal floats have equal successors;
+    - its stops (the zero guard, and ZeroDivisionError when t^3 is 0) also
+      depend on t alone, and none fired at ``ratios[-1 - k]`` or at the
+      k - 1 ratios after it, which all have successors here;
+    - float ``==`` holds only between equal floats, or between +0 and -0,
+      and a zero never gets past the guard or the division; NaN equals
+      nothing, and an inf is followed by NaN, so neither is looked up.
+    """
+    last = ratios[-1]
+    if not math.isfinite(last):
+        return None
+    # a C-level search, newest first, of the window before the last ratio,
+    # not a test per step
+    try:
+        return ratios[-1 - TAIL_WINDOW : -1][::-1].index(last) + 1
+    except ValueError:
+        return None
+
+
+def replay(cycle, start, n):
+    """Items start, ..., start + n - 1 of ``cycle`` repeated for ever.
+
+    After a walk whose last k ratios are a closed ``cycle`` (see
+    ``closed_period``), these are the n ratios that follow the first
+    ``start`` ratios past its end: the walk itself, without the map.
+    """
+    k = len(cycle)
+    start %= k
+    return (cycle * ((start + n) // k + 1))[start : start + n]
 
 
 def _log_magnitudes(lm0, ratios):
@@ -226,7 +272,37 @@ def _trend(logs, frac=0.1):
     return logs[-1] - logs[-1 - k]
 
 
+def _apart(logs, signs, tol):
+    """Whether x[-1] and x[-3] lie too far apart for the last TAIL_WINDOW
+    values to settle, read from logs and signs without converting the
+    window: True only where the rest of _stabilized returns None.
+
+    Let x be the window as _stabilized converts it, M its largest |x|,
+    u = 2^-53 and tol >= 0 (a negative tol passes neither test below).
+
+    x[-1] and x[-3] both sit in the odd half.  So the equilibrium test, and
+    the odd half of the 2-cycle test, pass only if |x[-1] - x[-3]| is at
+    most a float spread, which is at least (1 - u) times the exact one and
+    at most tol times a float mean of 64 or 32 values of size <= M, which is
+    at most M (1 + 64 u).  Both give |x[-1] - x[-3]| <= tol M (1 + 67 u).
+
+    g below is |x[-1] - x[-3]| / 10^L, L = max(logs[-64:]), to within 20 u
+    absolute: each x is s 10^l to the few-ulp accuracy of pow, and so
+    M <= 10^L (1 + 4 u); the float l - L <= 0 is off by at most u |l - L|,
+    which moves 10^(l - L) by at most max_D (D 10^-D) ln 10 u < 0.4 u; and
+    g's own subtraction adds u g <= 2 u.  So a test that passes gives
+    g <= tol (1 + 72 u) + 20 u < 2 tol + _SETTLE_SLACK, even after that sum
+    is rounded.  Every l is finite here, and 10^(l - L) <= 1 cannot
+    overflow.
+    """
+    top = max(logs[-TAIL_WINDOW:])
+    g = abs(signs[-1] * 10.0 ** (logs[-1] - top) - signs[-3] * 10.0 ** (logs[-3] - top))
+    return g > 2.0 * tol + _SETTLE_SLACK
+
+
 def _stabilized(logs, signs, tol):
+    if _apart(logs, signs, tol):
+        return None
     if max(map(abs, logs[-2 * TAIL_WINDOW:])) >= 300.0:
         return None
     tail = [s * 10.0 ** lm for s, lm in zip(signs[-TAIL_WINDOW:], logs[-TAIL_WINDOW:])]
@@ -266,6 +342,11 @@ def empirical_class(
     or an ``array("d")``.  The oracle reads them chunk by chunk and applies
     the ratio map only past their end, so its answer is the one a walk from
     the start gives.  Without them it knows only ``t_0``.
+
+    Once the ratios it knows close on a float cycle (``closed_period``), it
+    replays the cycle instead of applying the map: the same floats, whose
+    log10 |t| it sums in the same order.  A check that the last values
+    cannot pass (``_apart``) is skipped.  Neither changes an answer.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -276,20 +357,39 @@ def empirical_class(
     elif not values or values[0] != x0 / x_minus1:
         raise ValueError("values must start at x0 / x_minus1")
     t = values[-1]
+    walked = values  # the latest ratios known, which end at t
+    cycle = None  # the float cycle they closed on, once they have
     # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
     logs = array("d", [math.log10(abs(x0))])
     signs = array("b", [1 if x0 > 0 else -1])
     for done in range(0, budget, ORACLE_CHUNK):
         n = min(ORACLE_CHUNK, budget - done)
-        # a slice, not a copy of the whole walk; past its end, walk on from t
+        # a slice, not a copy of the whole walk; past its end, walk on from
+        # t, or replay the cycle the walk closed on
         ratios = values[done + 1 : done + 1 + n]
+        steps = None  # log10 |t| of each ratio, when the cycle's are at hand
         stopped = False
         if len(ratios) < n:
-            ratios = list(ratios)
-            t, stopped = advance_ratio(params, t, n - len(ratios), zero_guard, ratios)
+            if cycle is None and (k := closed_period(walked)):
+                cycle, replayed = list(walked[-k:]), 0
+                cycle_logs = [math.log10(abs(r)) for r in cycle]
+            m = n - len(ratios)
+            if cycle is None:
+                ratios = walked = list(ratios)
+                t, stopped = advance_ratio(params, t, m, zero_guard, ratios)
+            elif ratios:  # the chunk across the end of values
+                ratios = [*ratios, *replay(cycle, replayed, m)]
+                replayed += m
+            else:  # a chunk replayed whole, its log10 |t| too
+                ratios = replay(cycle, replayed, m)
+                steps = replay(cycle_logs, replayed, m)
+                replayed += m
+        if steps is None:
+            steps = map(math.log10, map(abs, ratios))
         start = len(logs)
         try:
-            logs.fromlist([*_log_magnitudes(logs.pop(), ratios)])
+            # left to right, as a walk sums them
+            logs.fromlist([*accumulate(steps, initial=logs.pop())])
         except ValueError:  # log10(0): x_n = 0, and the next step divides by it
             return ITERATION_STOPS
         if not math.isfinite(logs[-1]):

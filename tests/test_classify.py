@@ -37,7 +37,7 @@ from ratiodyn.ratio_map import (
     Equilibrium, Parameters, equilibria, fixed_point_poly, phi, phi_prime,
 )
 from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class
-from ratiodyn.tolerances import DEFAULT_ZERO_GUARD, EPS_SEARCHED, TAIL_TOL
+from ratiodyn.tolerances import DEFAULT_ZERO_GUARD, EPS_SEARCHED, ROOT_TOL, TAIL_TOL
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
@@ -353,7 +353,8 @@ def test_classify_oracle_equals_a_standalone_oracle():
         assert oracle_answer(v) == alone, (params, x_minus1, x0, kwargs)
 
 
-def test_classify_walks_each_ratio_once(monkeypatch):
+def count_steps(monkeypatch):
+    """A counter of the ratio-map steps classify and its oracle take."""
     steps = [0]
     for name in ("ratiodyn.classify", "ratiodyn.simulate"):
         module = sys.modules[name]
@@ -365,10 +366,92 @@ def test_classify_walks_each_ratio_once(monkeypatch):
             return result
 
         monkeypatch.setattr(module, "advance_ratio", counting)
+    return steps
+
+
+def test_classify_walks_each_ratio_once(monkeypatch):
+    steps = count_steps(monkeypatch)
     v = classify(NEUTRAL_EXAMPLE, 1.0, 1.5)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
     # the oracle reads the 1e5 ratios classify walked and walks none itself
     assert steps[0] == 100000
+
+
+# (period, params, x0): from (1, x0) the floats of classify's walk close on
+# a cycle of this period, from the benchmark box
+CLOSING_ORBITS = [
+    (1, Parameters(1.140047709275013, 2.600310279933157, -4.575371107450064, 2.0311955534558366),
+     3.2599822987125147),
+    (2, Parameters(0.41014512755862925, 0.23065401771105626, -3.3908311552802246,
+                   0.2029297562036888), 2.2358913830082883),
+    (3, Parameters(1.4360606983795041, 0.9076894449702165, -5.01743244716074, 1.0007601138222146),
+     0.8834368432852842),
+    (52, Parameters(1.0391039260950152, 1.4580025639722296, -2.342664582102998, 0.551781655299783),
+     4.568629937311743),
+]
+# a README sweep row next to p * q = 1: classify's walk settles after 512
+# steps, and the ratios close only inside the oracle's walk on from there
+SWEEP_ROW = Parameters(0.1, 1.79, -2.0050251256281406, 1.0)
+
+
+def first_periods(monkeypatch, params, x0, tol):
+    """The first period that classify's walk and that its oracle find."""
+    found = {}
+    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
+        module = sys.modules[name]
+
+        def spy(ratios, name=name, closed=module.closed_period):
+            k = closed(ratios)
+            if k:
+                found.setdefault(name, k)
+            return k
+
+        monkeypatch.setattr(module, "closed_period", spy)
+    classify(params, 1.0, x0, tol=tol)
+    return found
+
+
+def test_orbits_close_where_the_replay_tests_need(monkeypatch):
+    for period, params, x0 in CLOSING_ORBITS:
+        assert first_periods(monkeypatch, params, x0, TAIL_TOL).get("ratiodyn.classify") == period
+    assert first_periods(monkeypatch, SWEEP_ROW, 1.3, ROOT_TOL) == {"ratiodyn.simulate": 2}
+
+
+def test_replay_gives_the_answers_of_the_plain_walk(monkeypatch):
+    cases = [(params, x0, TAIL_TOL) for _, params, x0 in CLOSING_ORBITS]
+    cases += [(SWEEP_ROW, 1.3, ROOT_TOL), (UNIT_CYCLE_EXAMPLE, 3.0, ROOT_TOL)]
+    module = sys.modules["ratiodyn.classify"]
+    detect, walked = module.detect_ratio_limit, []
+
+    def recording(traj, tol):
+        walked.append(list(traj.values))
+        return detect(traj, tol)
+
+    monkeypatch.setattr(module, "detect_ratio_limit", recording)
+
+    def answers():
+        """Each verdict, the standalone oracle's answer, and the ratios
+        classify's walk had at each of its checks."""
+        out = []
+        for params, x0, tol in cases:
+            walked.clear()
+            v = classify(params, 1.0, x0, tol=tol)
+            out.append((repr(v), empirical_class(params, 1.0, x0, tol=tol), [*walked]))
+        return out
+
+    replayed = answers()
+    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
+        monkeypatch.setattr(sys.modules[name], "closed_period", lambda ratios: None)
+    assert answers() == replayed
+
+
+def test_a_closed_orbit_is_replayed_not_walked(monkeypatch):
+    steps = count_steps(monkeypatch)
+    v = classify(SWEEP_ROW, 1.0, 1.3, tol=ROOT_TOL)
+    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "T2.b")
+    # 512 steps of classify's walk, then one oracle chunk before it closes;
+    # a plain walk takes 24576 steps to cross 12 decades
+    assert steps[0] <= 1000
 
 
 def two_point_distance(vals, p, q):
