@@ -44,11 +44,12 @@ from .simulate import (
     empirical_class,
     replay,
     solution_trajectory,
+    start_ratio,
     subsequence_monotonicity,
 )
 from .tolerances import (
-    DEFAULT_BUDGET, DEFAULT_ZERO_GUARD, EPS_CRIT, EPS_SEARCHED,
-    ORACLE_MIN_BUDGET, ROOT_TOL, TAIL_TOL, TAIL_WINDOW,
+    DEFAULT_BUDGET, EPS_CRIT, EPS_SEARCHED, ORACLE_MIN_BUDGET, ROOT_TOL,
+    TAIL_TOL, TAIL_WINDOW,
 )
 
 __all__ = [
@@ -352,7 +353,6 @@ def classify(
     x0: float,
     budget: int = DEFAULT_BUDGET,
     tol: float = TAIL_TOL,
-    zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> Verdict:
     """Simulate the ratio orbit, identify its limit, and apply the theorems.
 
@@ -373,9 +373,11 @@ def classify(
     ``tol`` is the tail tolerance of the walk and of the oracle.  Its
     default is ``TAIL_TOL`` (1e-8), while ``ratiodyn classify`` and
     ``ratiodyn sweep`` pass ``--tol``, whose default is 1e-9.
+
+    The start must be positive, and must pass ``start_ratio``: finite, with
+    a finite nonzero ``x0 / x_minus1``.
     """
-    if not (math.isfinite(x_minus1) and math.isfinite(x0)):
-        raise ValueError("initial conditions must be finite")
+    t = start_ratio(x_minus1, x0)
     if not (x_minus1 > 0.0 and x0 > 0.0):
         raise ValueError("initial conditions must be positive")
     if budget < 1:
@@ -386,7 +388,6 @@ def classify(
     candidate = any(abs(o.multiplier) <= 1.0 + EPS_SEARCHED for o in [*eqs, *cycles])
     walk = budget if candidate else min(budget, CHUNK)
 
-    t = x0 / x_minus1
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
     values = array("d", [t])
     done = 0
@@ -396,7 +397,7 @@ def classify(
         n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
         if k is None:
             chunk = []
-            t, stopped = advance_ratio(params, t, n, zero_guard, chunk)
+            t, stopped = advance_ratio(params, t, n, chunk)
             values.fromlist(chunk)
             if stopped:
                 return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
@@ -427,8 +428,7 @@ def classify(
             cyc = hit
 
     oracle = empirical_class(
-        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol,
-        zero_guard=zero_guard, values=values,
+        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol, values=values,
     )
     note = _ORACLE_NOTES[oracle]
 

@@ -22,14 +22,14 @@ from .outcomes import (
 )
 from .ratio_map import Parameters
 from .tolerances import (
-    DEFAULT_BUDGET, DEFAULT_ZERO_GUARD, ORACLE_MIN_BUDGET,
-    TAIL_TOL, TAIL_WINDOW, THETA_DOWN, THETA_UP,
+    DEFAULT_BUDGET, ORACLE_MIN_BUDGET, TAIL_TOL, TAIL_WINDOW, THETA_DOWN, THETA_UP,
 )
 
 __all__ = [
     "RatioTrajectory",
     "SolutionTrajectory",
     "LimitReport",
+    "start_ratio",
     "advance_ratio",
     "closed_period",
     "replay",
@@ -99,19 +99,33 @@ class LimitReport:
     residual: float
 
 
-def advance_ratio(params, t, n, zero_guard, out):
+def start_ratio(x_minus1: float, x0: float) -> float:
+    """t_0 = x0 / x_minus1, for a start that can be walked.
+
+    x_{-1} and x_0 must be finite and nonzero, and so must their quotient: a
+    t_0 that overflows to inf is followed by NaN ratios only, and one that
+    underflows to 0 would stop the walk at once, though no x_n is 0.
+    """
+    if not (math.isfinite(x_minus1) and math.isfinite(x0)):
+        raise ValueError("initial conditions must be finite")
+    if x_minus1 == 0.0 or x0 == 0.0:
+        raise ValueError("initial conditions must be nonzero")
+    t0 = x0 / x_minus1
+    if not 0.0 < abs(t0) < math.inf:
+        raise ValueError(f"the start ratio x0 / x_minus1 = {t0!r} is not a finite nonzero float")
+    return t0
+
+
+def advance_ratio(params, t, n, out):
     """Apply the ratio map up to n times from t, appending each new ratio to out.
 
-    Before each step, |t| under zero_guard stops the walk, and so does a t
-    whose cube underflows to 0 (|t| below ~1.7e-108, which the default guard
-    of 1e-300 lets through).  Returns the last ratio and whether the walk
-    stopped there.
+    A t whose cube is 0 (t = 0, or |t| below ~1.7e-108, where t^3
+    underflows) stops the walk before the step that would divide by it.
+    Returns the last ratio and whether the walk stopped there.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     try:
         for _ in range(n):
-            if abs(t) < zero_guard:
-                return t, True
             t = (((a * t + b) * t + c) * t + d) / (t * t * t)
             out.append(t)
     except ZeroDivisionError:
@@ -130,12 +144,12 @@ def closed_period(ratios):
     - ``advance_ratio`` maps the one float t to the next by a fixed sequence
       of float operations, each rounded by CPython on its own (no FMA
       contraction), so equal floats have equal successors;
-    - its stops (the zero guard, and ZeroDivisionError when t^3 is 0) also
-      depend on t alone, and none fired at ``ratios[-1 - k]`` or at the
-      k - 1 ratios after it, which all have successors here;
+    - its one stop, ZeroDivisionError when t^3 is 0, also depends on t
+      alone, and it did not fire at ``ratios[-1 - k]`` or at the k - 1
+      ratios after it, which all have successors here;
     - float ``==`` holds only between equal floats, or between +0 and -0,
-      and a zero never gets past the guard or the division; NaN equals
-      nothing, and an inf is followed by NaN, so neither is looked up.
+      and a zero never gets past the division; NaN equals nothing, and an
+      inf is followed by NaN, so neither is looked up.
     """
     last = ratios[-1]
     if not math.isfinite(last):
@@ -170,23 +184,16 @@ def _signs(s, ratios):
     return [s, *[(s := s if t > 0 else -s) for t in ratios]]
 
 
-def iterate_ratio(
-    params: Parameters,
-    t0: float,
-    n: int,
-    zero_guard: float = DEFAULT_ZERO_GUARD,
-) -> RatioTrajectory:
+def iterate_ratio(params: Parameters, t0: float, n: int) -> RatioTrajectory:
     """Iterate the ratio map up to n steps from t0.
 
-    Stops with status ``hit_zero`` when |t| falls under zero_guard (the
-    second-order iteration would divide by zero there).
+    Stops with status ``hit_zero`` at a ratio whose cube is 0, where the
+    next step would divide by zero (``advance_ratio``).
     """
     if t0 == 0.0:
         raise ValueError("t0 must be nonzero")
-    if zero_guard <= 0.0:
-        raise ValueError("zero_guard must be positive")
     values = [t0]
-    _, stopped = advance_ratio(params, t0, n, zero_guard, values)
+    _, stopped = advance_ratio(params, t0, n, values)
     if stopped:
         status = HIT_ZERO
     elif len(values) > 3 and all(v < 0.0 for v in values[-4:]):
@@ -223,17 +230,11 @@ def solution_trajectory(x_minus1: float, x0: float, rt: RatioTrajectory) -> Solu
 
 
 def iterate_solution(
-    params: Parameters,
-    x_minus1: float,
-    x0: float,
-    n: int,
-    zero_guard: float = DEFAULT_ZERO_GUARD,
+    params: Parameters, x_minus1: float, x0: float, n: int
 ) -> SolutionTrajectory:
     """Orbit of the second-order equation in log-magnitude + sign form."""
-    if x_minus1 == 0.0 or x0 == 0.0:
-        raise ValueError("initial conditions must be nonzero")
     return solution_trajectory(
-        x_minus1, x0, iterate_ratio(params, x0 / x_minus1, n, zero_guard)
+        x_minus1, x0, iterate_ratio(params, start_ratio(x_minus1, x0), n)
     )
 
 
@@ -327,7 +328,6 @@ def empirical_class(
     x0: float,
     budget: int = DEFAULT_BUDGET,
     tol: float = TAIL_TOL,
-    zero_guard: float = DEFAULT_ZERO_GUARD,
     *,
     values=None,
 ) -> str:
@@ -338,8 +338,8 @@ def empirical_class(
     called once their tail (or its even/odd split) stabilizes.
 
     ``values`` are ratios already walked from this start with these
-    ``params`` and ``zero_guard``, ``t_0 = x0 / x_minus1`` first, as a list
-    or an ``array("d")``.  The oracle reads them chunk by chunk and applies
+    ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
+    ``array("d")``.  The oracle reads them chunk by chunk and applies
     the ratio map only past their end, so its answer is the one a walk from
     the start gives.  Without them it knows only ``t_0``.
 
@@ -350,11 +350,10 @@ def empirical_class(
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
-    if x_minus1 == 0.0 or x0 == 0.0:
-        raise ValueError("initial conditions must be nonzero")
+    t0 = start_ratio(x_minus1, x0)
     if values is None:
-        values = [x0 / x_minus1]
-    elif not values or values[0] != x0 / x_minus1:
+        values = [t0]
+    elif not values or values[0] != t0:
         raise ValueError("values must start at x0 / x_minus1")
     t = values[-1]
     walked = values  # the latest ratios known, which end at t
@@ -376,7 +375,7 @@ def empirical_class(
             m = n - len(ratios)
             if cycle is None:
                 ratios = walked = list(ratios)
-                t, stopped = advance_ratio(params, t, m, zero_guard, ratios)
+                t, stopped = advance_ratio(params, t, m, ratios)
             elif ratios:  # the chunk across the end of values
                 ratios = [*ratios, *replay(cycle, replayed, m)]
                 replayed += m

@@ -29,9 +29,6 @@ DEFAULT_BUDGET = 100000
 #: the least budget the oracle takes; classify raises its cross-check to it
 ORACLE_MIN_BUDGET = 1000
 
-#: |t| under this stops a walk: the next step would divide by about zero
-DEFAULT_ZERO_GUARD = 1e-300
-
 #: log10 |x_n| past which, with a confirming trend, the oracle calls
 #: divergence (THETA_UP) or vanishing (THETA_DOWN)
 THETA_UP = 12.0

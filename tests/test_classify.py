@@ -37,7 +37,7 @@ from ratiodyn.ratio_map import (
     Equilibrium, Parameters, equilibria, fixed_point_poly, phi, phi_prime,
 )
 from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class
-from ratiodyn.tolerances import DEFAULT_ZERO_GUARD, EPS_SEARCHED, ROOT_TOL, TAIL_TOL
+from ratiodyn.tolerances import EPS_SEARCHED, ROOT_TOL, TAIL_TOL
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
@@ -240,11 +240,13 @@ def test_classify_exact_landing_on_cycle():
 
 
 def test_classify_zero_guard_stop():
-    v = classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, zero_guard=10.0)
-    assert v.asymptotic_class == ITERATION_STOPS
-    # 1e-110 passes the default guard, but its cube underflows to 0
+    # phi(1) = a + b + c + d = 0: the walk stops at the zero ratio, and the
+    # next step would divide by x_1 = 0
+    v = classify(Parameters(1.0, 1.0, -3.0, 1.0), 1.0, 1.0)
+    assert v == Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
+    # 1e-110 is not 0, but its cube underflows to 0
     v = classify(NEUTRAL_EXAMPLE, 1.0, 1e-110)
-    assert (v.asymptotic_class, v.rule) == (ITERATION_STOPS, "oracle")
+    assert v == Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
 
 
 def test_classify_validates_inputs():
@@ -252,9 +254,14 @@ def test_classify_validates_inputs():
         classify(UNIT_CYCLE_EXAMPLE, -1.0, 1.0)
     with pytest.raises(ValueError):
         classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, budget=0)
-    for x_minus1, x0 in [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)]:
+    # not finite, or a t_0 = x0 / x_minus1 that overflows or underflows
+    for x_minus1, x0 in [
+        (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (1e-300, 1e300), (1e300, 1e-300),
+    ]:
         with pytest.raises(ValueError, match="finite"):
             classify(UNIT_CYCLE_EXAMPLE, x_minus1, x0)
+    with pytest.raises(ValueError, match="nonzero"):
+        classify(UNIT_CYCLE_EXAMPLE, 0.0, 1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Parameters(1.0, 1.0, bad, 1.0)
@@ -273,9 +280,9 @@ def walked_steps(monkeypatch, params, x0):
     advance = module.advance_ratio
     steps = [0]
 
-    def counting(params, t, n, zero_guard, out):
+    def counting(params, t, n, out):
         before = len(out)
-        result = advance(params, t, n, zero_guard, out)
+        result = advance(params, t, n, out)
         steps[0] += len(out) - before
         return result
 
@@ -348,7 +355,7 @@ def test_classify_oracle_equals_a_standalone_oracle():
         v = classify(params, x_minus1, x0, **kwargs)
         alone = empirical_class(
             params, x_minus1, x0, max(kwargs.get("budget", 100000), 1000),
-            kwargs.get("tol", TAIL_TOL), DEFAULT_ZERO_GUARD,
+            kwargs.get("tol", TAIL_TOL),
         )
         assert oracle_answer(v) == alone, (params, x_minus1, x0, kwargs)
 
@@ -359,9 +366,9 @@ def count_steps(monkeypatch):
     for name in ("ratiodyn.classify", "ratiodyn.simulate"):
         module = sys.modules[name]
 
-        def counting(params, t, n, zero_guard, out, advance=module.advance_ratio):
+        def counting(params, t, n, out, advance=module.advance_ratio):
             before = len(out)
-            result = advance(params, t, n, zero_guard, out)
+            result = advance(params, t, n, out)
             steps[0] += len(out) - before
             return result
 

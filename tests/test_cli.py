@@ -198,13 +198,26 @@ def test_worker_that_dies_fails_the_sweep(monkeypatch):
 
 
 def test_simulate_stops_on_cube_underflow(capsys):
-    # 1e-110 passes the 1e-300 zero guard, but its cube underflows to 0
+    # 1e-110 is not 0, but its cube underflows to 0
     code, out = run_cli(
         "simulate", "--params", "0.2,1.7,-2,1.1", "--x0", "1e-110", "--steps", "5",
     )
     assert code == 0
     assert len(out.splitlines()) == 3  # header, x_{-1}, x_0
     assert "stopped_division_by_zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+@pytest.mark.parametrize(
+    "start",
+    [("--x0", "inf"), ("--x-1", "nan"), ("--x-1", "1e-300", "--x0", "1e300"),
+     ("--x-1", "1e300", "--x0", "1e-300")],
+    ids=["x0_inf", "x_minus1_nan", "ratio_overflows", "ratio_underflows"],
+)
+def test_a_start_that_is_not_a_finite_float_exits_one(command, start, capsys):
+    code, out = run_cli(command, "--params", "0.2,1.7,-2,1.1", *start)
+    assert (code, out) == (1, "")
+    assert "finite" in capsys.readouterr().err
 
 
 def test_simulate_stops_at_a_zero_ratio(capsys):

@@ -51,11 +51,12 @@ def test_iterate_ratio_matches_map():
 
 
 def test_iterate_ratio_zero_guard():
-    # an absurdly large guard forces the stop immediately
-    traj = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 10, zero_guard=10.0)
+    # the walk's one stop is a ratio whose cube is 0: a ratio of exactly 0,
+    # reached after a step
+    traj = iterate_ratio(ZERO_RATIO, 1.0, 10)
     assert traj.status == HIT_ZERO
-    assert traj.values == [1.0]
-    # 1e-110 passes the default guard, but its cube underflows to 0
+    assert traj.values == [1.0, 0.0]
+    # 1e-110 is not 0, but its cube underflows to 0
     traj = iterate_ratio(NEUTRAL_EXAMPLE, 1e-110, 10)
     assert traj.status == HIT_ZERO
     assert traj.values == [1e-110]
@@ -70,13 +71,13 @@ def test_iterate_ratio_escaped_negative():
 
 
 def test_solution_zero_guard_stop_keeps_ratios():
-    # the odd ratios fall 0.89, 0.886, 0.882, 0.878: the guard 0.88 stops at
-    # step 7, before phi is applied to the ratio under it
-    traj = iterate_solution(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 50, zero_guard=0.88)
+    # t_0 = 1e-110 is not 0, so x_0 has a log; but its cube underflows, so
+    # the walk stops before phi is applied to it
+    traj = iterate_solution(NEUTRAL_EXAMPLE, -1.0, -1e-110, 50)
     assert traj.status == STOPPED_DIVISION_BY_ZERO
-    assert traj.ratios == iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 50, zero_guard=0.88).values
-    assert len(traj.ratios) == 8
-    assert abs(traj.ratios[-1]) < 0.88 <= min(abs(t) for t in traj.ratios[:-1])
+    assert traj.ratios == iterate_ratio(NEUTRAL_EXAMPLE, 1e-110, 50).values == [1e-110]
+    assert traj.log_magnitudes == [0.0, math.log10(1e-110)]
+    assert traj.signs == [-1, -1]
     assert len(traj.log_magnitudes) == len(traj.signs) == len(traj.ratios) + 1
 
 
@@ -194,11 +195,37 @@ def test_monotonicity_even_odd_split():
 
 
 def test_empirical_zero_guard_stops():
-    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=10.0) == ITERATION_STOPS
-    # a stop inside the first block of steps, before any evidence is checked
-    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 1000, zero_guard=0.88) == ITERATION_STOPS
-    # a ratio of exactly 0 stops too: x_1 = 0, and log10 |x_1| does not exist
+    # t_0 = 1e-110 stops the walk before its first step: its cube is 0
+    assert empirical_class(NEUTRAL_EXAMPLE, 1.0, 1e-110, 1000) == ITERATION_STOPS
+    # the same, with the walked ratios given
+    assert empirical_class(NEUTRAL_EXAMPLE, 1.0, 1e-110, values=[1e-110]) == ITERATION_STOPS
+    # a ratio of exactly 0 stops a step later: x_1 = 0, and log10 |x_1| does
+    # not exist
     assert empirical_class(ZERO_RATIO, 1.0, 1.0) == ITERATION_STOPS
+    assert empirical_class(ZERO_RATIO, 1.0, 1.0, values=[1.0, 0.0]) == ITERATION_STOPS
+
+
+# starts the walk cannot take: not finite, or a t_0 = x0 / x_minus1 that
+# overflows to inf (every later ratio is then nan) or underflows to 0
+BAD_STARTS = [
+    (1.0, math.inf), (math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (1.0, math.nan),
+    (1e-300, 1e300), (1e300, 1e-300), (-1e-300, 1e300), (5e-324, 2.0),
+]
+
+
+def test_a_start_the_walk_cannot_take_is_rejected():
+    for x_minus1, x0 in BAD_STARTS:
+        with pytest.raises(ValueError, match="finite"):
+            iterate_solution(NEUTRAL_EXAMPLE, x_minus1, x0, 10)
+        with pytest.raises(ValueError, match="finite"):
+            empirical_class(NEUTRAL_EXAMPLE, x_minus1, x0)
+    for x_minus1, x0 in [(0.0, 1.0), (1.0, -0.0)]:
+        with pytest.raises(ValueError, match="nonzero"):
+            iterate_solution(NEUTRAL_EXAMPLE, x_minus1, x0, 10)
+        with pytest.raises(ValueError, match="nonzero"):
+            empirical_class(NEUTRAL_EXAMPLE, x_minus1, x0)
+    # a subnormal t_0 is a start: the walk stops at it
+    assert iterate_solution(NEUTRAL_EXAMPLE, 1.0, 5e-324, 10).status == STOPPED_DIVISION_BY_ZERO
 
 
 def test_solution_stops_at_a_zero_ratio():
