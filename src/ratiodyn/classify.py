@@ -38,14 +38,12 @@ from .simulate import (
     INCREASING,
     RatioTrajectory,
     COMPLETED,
-    advance_ratio,
-    closed_period,
     detect_ratio_limit,
     empirical_class,
-    replay,
     solution_trajectory,
     start_ratio,
     subsequence_monotonicity,
+    walk_on,
 )
 from .tolerances import (
     DEFAULT_BUDGET, EPS_CRIT, EPS_SEARCHED, ORACLE_MIN_BUDGET, ROOT_TOL,
@@ -366,9 +364,9 @@ def classify(
     few steps (the preimage-set case) gets the exact-landing verdict.  If no
     limit can be identified within the budget the empirical oracle's class
     is returned.  The oracle reads the walked ratios and walks on only past
-    them.  Once the float orbit repeats a value it is periodic for ever, so
-    the walk and the oracle replay that cycle instead of applying the map,
-    with the same checks and the same answers.
+    them.  Both take every new ratio from ``walk_on``: once the float orbit
+    repeats a value it is periodic for ever, and the walker replays that
+    cycle instead of applying the map, with the same answers.
 
     ``tol`` is the tail tolerance of the walk and of the oracle.  Its
     default is ``TAIL_TOL`` (1e-8), while ``ratiodyn classify`` and
@@ -395,16 +393,10 @@ def classify(
     eq = cyc = None
     while done < walk:
         n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
-        if k is None:
-            chunk = []
-            t, stopped = advance_ratio(params, t, n, chunk)
-            values.fromlist(chunk)
-            if stopped:
-                return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
-            k = closed_period(values)
-        else:
-            # values end with the cycle, so its next n ratios start it over
-            values.extend(replay(values[-k:], 0, n))
+        chunk, k, stopped = walk_on(params, values, n, k)
+        values += array("d", chunk)  # from a list as fast as fromlist, an array by memcpy
+        if stopped:
+            return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
         done += n
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
@@ -417,7 +409,7 @@ def classify(
             ):
                 break
             eq = cyc = None
-        if not math.isfinite(t):
+        if not math.isfinite(values[-1]):
             break
 
     if det.kind == "none" and candidate:

@@ -81,6 +81,16 @@ def two_cycle_poly(params: Parameters) -> Polynomial:
     return Polynomial(_two_cycle_coeffs(params.a, params.b, params.c, params.d))
 
 
+def _in_floats(params, t):
+    """Whether phi and phi' are finite floats at t and at phi(t)."""
+    try:
+        u = phi(params, t)
+        values = (u, phi(params, u), phi_prime(params, t), phi_prime(params, u))
+    except (ArithmeticError, ValueError):  # ValueError: phi(t) is 0, the pole
+        return False
+    return all(map(math.isfinite, values))
+
+
 def _polish_cycle_point(params, t):
     """Newton on phi(phi(t)) - t.  Clustered sextic roots come out of the
     bracketing pass with their accuracy eaten by the polynomial's
@@ -92,9 +102,7 @@ def _polish_cycle_point(params, t):
 
     best = residual(t)
     for _ in range(4):
-        u = phi(params, t)
-        if u == 0.0:
-            break
+        u = phi(params, t)  # not 0: t passed _in_floats, or has a finite residual
         f = phi(params, u) - t
         df = phi_prime(params, t) * phi_prime(params, u) - 1.0
         # df, the multiplier minus 1, vanishes at neutral cycles and at the
@@ -123,12 +131,16 @@ def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
     partner.  Fixed points (the quartic re-entering as a multiple root on
     the (a-c)/d = 2 boundary) are discarded, and a positive root whose
     positive image matches no other root is a hard error rather than a
-    silent omission.
+    silent omission.  A root is skipped where phi or phi' is no finite float
+    at it or at its image (a cube underflows to 0, a power overflows): no
+    walk and no multiplier can be taken there, as on the one 2-cycle of
+    a = 1e-120, b = c = d = 1, about (1e-120, 1e360).
     """
     poly = two_cycle_poly(params)
     roots = [
         _polish_cycle_point(params, r)
         for r, _ in real_roots_flagged(poly, 0.0, math.inf, tol)
+        if _in_floats(params, r)
     ]
     points = [
         r

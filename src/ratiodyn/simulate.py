@@ -32,7 +32,7 @@ __all__ = [
     "start_ratio",
     "advance_ratio",
     "closed_period",
-    "replay",
+    "walk_on",
     "iterate_ratio",
     "solution_trajectory",
     "iterate_solution",
@@ -162,16 +162,22 @@ def closed_period(ratios):
         return None
 
 
-def replay(cycle, start, n):
-    """Items start, ..., start + n - 1 of ``cycle`` repeated for ever.
+def walk_on(params, walked, n, k=None):
+    """The next n ratios of the walk whose latest ratios are ``walked``.
 
-    After a walk whose last k ratios are a closed ``cycle`` (see
-    ``closed_period``), these are the n ratios that follow the first
-    ``start`` ratios past its end: the walk itself, without the map.
+    ``k`` is the period of the float cycle they closed on, or None, and then
+    ``closed_period(walked)`` looks for one.  A closed walk repeats
+    ``walked[-k:]``, in its sequence type; any other goes on from
+    ``walked[-1]`` with ``advance_ratio``, in a list.  Returns the ratios,
+    k, and whether the walk stopped at a ratio whose cube is 0, short of n.
     """
-    k = len(cycle)
-    start %= k
-    return (cycle * ((start + n) // k + 1))[start : start + n]
+    if k is None:
+        k = closed_period(walked)
+    if k:
+        return (walked[-k:] * (n // k + 1))[:n], k, False
+    ratios = []
+    _, stopped = advance_ratio(params, walked[-1], n, ratios)
+    return ratios, None, stopped
 
 
 def _log_magnitudes(lm0, ratios):
@@ -188,10 +194,10 @@ def iterate_ratio(params: Parameters, t0: float, n: int) -> RatioTrajectory:
     """Iterate the ratio map up to n steps from t0.
 
     Stops with status ``hit_zero`` at a ratio whose cube is 0, where the
-    next step would divide by zero (``advance_ratio``).
+    next step would divide by zero (``advance_ratio``).  t0 must be a finite
+    nonzero float, as for ``start_ratio``.
     """
-    if t0 == 0.0:
-        raise ValueError("t0 must be nonzero")
+    start_ratio(1.0, t0)  # the start rule, for t_0 = t0 / 1
     values = [t0]
     _, stopped = advance_ratio(params, t0, n, values)
     if stopped:
@@ -343,10 +349,10 @@ def empirical_class(
     the ratio map only past their end, so its answer is the one a walk from
     the start gives.  Without them it knows only ``t_0``.
 
-    Once the ratios it knows close on a float cycle (``closed_period``), it
-    replays the cycle instead of applying the map: the same floats, whose
-    log10 |t| it sums in the same order.  A check that the last values
-    cannot pass (``_apart``) is skipped.  Neither changes an answer.
+    Every ratio past them comes from ``walk_on``, as in ``classify``: a
+    float cycle the ratios close on is replayed, and its log10 |t| summed in
+    the same order.  A check that the last values cannot pass (``_apart``)
+    is skipped.  Neither changes an answer.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -355,34 +361,23 @@ def empirical_class(
         values = [t0]
     elif not values or values[0] != t0:
         raise ValueError("values must start at x0 / x_minus1")
-    t = values[-1]
-    walked = values  # the latest ratios known, which end at t
-    cycle = None  # the float cycle they closed on, once they have
+    walked = values  # the latest ratios known
+    k = None  # the period of the float cycle they closed on, once they have
     # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
     logs = array("d", [math.log10(abs(x0))])
     signs = array("b", [1 if x0 > 0 else -1])
     for done in range(0, budget, ORACLE_CHUNK):
         n = min(ORACLE_CHUNK, budget - done)
-        # a slice, not a copy of the whole walk; past its end, walk on from
-        # t, or replay the cycle the walk closed on
+        # a slice, not a copy of the whole walk; the walk goes on past its end
         ratios = values[done + 1 : done + 1 + n]
         steps = None  # log10 |t| of each ratio, when the cycle's are at hand
         stopped = False
         if len(ratios) < n:
-            if cycle is None and (k := closed_period(walked)):
-                cycle, replayed = list(walked[-k:]), 0
-                cycle_logs = [math.log10(abs(r)) for r in cycle]
-            m = n - len(ratios)
-            if cycle is None:
-                ratios = walked = list(ratios)
-                t, stopped = advance_ratio(params, t, m, ratios)
-            elif ratios:  # the chunk across the end of values
-                ratios = [*ratios, *replay(cycle, replayed, m)]
-                replayed += m
-            else:  # a chunk replayed whole, its log10 |t| too
-                ratios = replay(cycle, replayed, m)
-                steps = replay(cycle_logs, replayed, m)
-                replayed += m
+            more, k, stopped = walk_on(params, walked, n - len(ratios), k)
+            if k and not ratios:  # a chunk replayed whole: its log10 |t| repeat with the cycle
+                cycle_logs = [math.log10(abs(r)) for r in walked[-k:]]
+                steps = (cycle_logs * (n // k + 1))[:n]
+            ratios = walked = [*ratios, *more]
         if steps is None:
             steps = map(math.log10, map(abs, ratios))
         start = len(logs)

@@ -273,20 +273,20 @@ ALL_REPELLING = Parameters(
 )
 
 
+def walker():
+    """Whose walk the running ratio step serves, read off the call stack:
+    "classify" or its oracle, "empirical_class"; both walk with
+    ``simulate.walk_on``."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_name not in ("classify", "empirical_class"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def walked_steps(monkeypatch, params, x0):
     """classify's verdict from (1, x0) and the ratio steps its own walk took
     (the oracle's walk is not counted)."""
-    module = sys.modules["ratiodyn.classify"]
-    advance = module.advance_ratio
-    steps = [0]
-
-    def counting(params, t, n, out):
-        before = len(out)
-        result = advance(params, t, n, out)
-        steps[0] += len(out) - before
-        return result
-
-    monkeypatch.setattr(module, "advance_ratio", counting)
+    steps = count_steps(monkeypatch, "classify")
     return classify(params, 1.0, x0), steps[0]
 
 
@@ -360,19 +360,21 @@ def test_classify_oracle_equals_a_standalone_oracle():
         assert oracle_answer(v) == alone, (params, x_minus1, x0, kwargs)
 
 
-def count_steps(monkeypatch):
-    """A counter of the ratio-map steps classify and its oracle take."""
+def count_steps(monkeypatch, walk=None):
+    """A counter of the ratio-map steps classify and its oracle take, or of
+    those of one ``walk`` (as ``walker`` names it) only."""
     steps = [0]
-    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
-        module = sys.modules[name]
+    module = sys.modules["ratiodyn.simulate"]
+    advance = module.advance_ratio
 
-        def counting(params, t, n, out, advance=module.advance_ratio):
-            before = len(out)
-            result = advance(params, t, n, out)
+    def counting(params, t, n, out):
+        before = len(out)
+        result = advance(params, t, n, out)
+        if walk is None or walker() == walk:
             steps[0] += len(out) - before
-            return result
+        return result
 
-        monkeypatch.setattr(module, "advance_ratio", counting)
+    monkeypatch.setattr(module, "advance_ratio", counting)
     return steps
 
 
@@ -404,24 +406,24 @@ SWEEP_ROW = Parameters(0.1, 1.79, -2.0050251256281406, 1.0)
 def first_periods(monkeypatch, params, x0, tol):
     """The first period that classify's walk and that its oracle find."""
     found = {}
-    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
-        module = sys.modules[name]
+    module = sys.modules["ratiodyn.simulate"]
+    closed = module.closed_period
 
-        def spy(ratios, name=name, closed=module.closed_period):
-            k = closed(ratios)
-            if k:
-                found.setdefault(name, k)
-            return k
+    def spy(ratios):
+        k = closed(ratios)
+        if k:
+            found.setdefault(walker(), k)
+        return k
 
-        monkeypatch.setattr(module, "closed_period", spy)
+    monkeypatch.setattr(module, "closed_period", spy)
     classify(params, 1.0, x0, tol=tol)
     return found
 
 
 def test_orbits_close_where_the_replay_tests_need(monkeypatch):
     for period, params, x0 in CLOSING_ORBITS:
-        assert first_periods(monkeypatch, params, x0, TAIL_TOL).get("ratiodyn.classify") == period
-    assert first_periods(monkeypatch, SWEEP_ROW, 1.3, ROOT_TOL) == {"ratiodyn.simulate": 2}
+        assert first_periods(monkeypatch, params, x0, TAIL_TOL).get("classify") == period
+    assert first_periods(monkeypatch, SWEEP_ROW, 1.3, ROOT_TOL) == {"empirical_class": 2}
 
 
 def test_replay_gives_the_answers_of_the_plain_walk(monkeypatch):
@@ -447,8 +449,7 @@ def test_replay_gives_the_answers_of_the_plain_walk(monkeypatch):
         return out
 
     replayed = answers()
-    for name in ("ratiodyn.classify", "ratiodyn.simulate"):
-        monkeypatch.setattr(sys.modules[name], "closed_period", lambda ratios: None)
+    monkeypatch.setattr(sys.modules["ratiodyn.simulate"], "closed_period", lambda ratios: None)
     assert answers() == replayed
 
 

@@ -220,6 +220,13 @@ def test_a_start_that_is_not_a_finite_float_exits_one(command, start, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["classify", "--x0", "1.5"]])
+def test_a_cycle_that_no_float_holds_is_no_numerical_failure(argv):
+    # the one 2-cycle of this set is about (1e-120, 1e360)
+    code, out = run_cli(*argv, "--params", "1e-120,1,1,1")
+    assert code == 0 and out
+
+
 def test_simulate_stops_at_a_zero_ratio(capsys):
     # phi(1) = 1 + 1 - 3 + 1 = 0, so x_1 = 0 and the next step divides by it
     code, out = run_cli("simulate", "--params", "1,1,-3,1", "--x0", "1")

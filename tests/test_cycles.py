@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,26 @@ def test_no_pairing_error_on_the_fuzz_box():
             find_two_cycles(Parameters(a, b, c, d))
         except PairingError as exc:
             pytest.fail(f"{(a, b, c, d)!r}: {exc}")
+
+
+# the one 2-cycle is about (1e-120, 1e360): no float holds 1e360, and at
+# 1e-120 the cube in phi underflows to 0
+TINY_A = Parameters(1e-120, 1.0, 1.0, 1.0)
+
+
+def test_a_cycle_that_no_float_holds_is_skipped():
+    coeffs = _two_cycle_coeffs(*(Fraction(v) for v in (TINY_A.a, TINY_A.b, TINY_A.c, TINY_A.d)))
+
+    def sextic(t):
+        return sum(k * t**i for i, k in enumerate(coeffs))
+
+    # in exact arithmetic: two sign variations, so at most two positive
+    # roots (Descartes), and a sign change around each of 1e-120 and 1e360
+    signs = [k > 0 for k in coeffs if k]
+    assert sum(s != t for s, t in zip(signs, signs[1:])) == 2
+    for r in (Fraction(10) ** -120, Fraction(10) ** 360):
+        assert sextic(r * Fraction(99, 100)) * sextic(r * Fraction(101, 100)) < 0
+    assert find_two_cycles(TINY_A) == []
 
 
 def exact_positive_cycles(params, digits=50):

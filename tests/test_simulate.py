@@ -30,8 +30,8 @@ from ratiodyn.simulate import (
     empirical_class,
     iterate_ratio,
     iterate_solution,
-    replay,
     subsequence_monotonicity,
+    walk_on,
 )
 from ratiodyn.tolerances import TAIL_WINDOW
 
@@ -226,6 +226,11 @@ def test_a_start_the_walk_cannot_take_is_rejected():
             empirical_class(NEUTRAL_EXAMPLE, x_minus1, x0)
     # a subnormal t_0 is a start: the walk stops at it
     assert iterate_solution(NEUTRAL_EXAMPLE, 1.0, 5e-324, 10).status == STOPPED_DIVISION_BY_ZERO
+    # the plain ratio walk takes the same starts
+    for t0 in (math.inf, -math.inf, math.nan, 0.0, -0.0):
+        with pytest.raises(ValueError, match="finite|nonzero"):
+            iterate_ratio(NEUTRAL_EXAMPLE, t0, 3)
+    assert iterate_ratio(NEUTRAL_EXAMPLE, 5e-324, 3).values == [5e-324]
 
 
 def test_solution_stops_at_a_zero_ratio():
@@ -309,19 +314,63 @@ def test_a_start_that_recurs_closes():
     assert closed_period(again) == k
 
 
-def test_replay_continues_the_walk_across_chunks():
-    walk = iterate_ratio(PERIOD_52, PERIOD_52_X0, 4000).values
-    end = next(j for j in range(2, len(walk)) if closed_period(walk[:j]))
-    k = closed_period(walk[:end])
-    assert k == 52
-    cycle = walk[end - k : end]
-    # chunk sizes that do not divide k, and k itself, from list and array
-    for cyc in (cycle, array("d", cycle)):
-        rest = []
-        for n in [1, 5, 51, 52, 53, 100, 256] * 5:
-            rest.extend(replay(cyc, len(rest), n))
-        assert end + len(rest) <= len(walk)
-        assert rest == walk[end : end + len(rest)]
+def walk_in_chunks(params, walked, sizes):
+    """``walked`` and the ratios ``walk_on`` gives after it, in chunks of the
+    given sizes, each call seeing every ratio before it; the period it
+    returned after each chunk; and whether the walk stopped."""
+    walked, k, periods, stopped = list(walked), None, [], False
+    for n in sizes:
+        ratios, k, stopped = walk_on(params, walked, n, k)
+        assert len(ratios) == n or stopped
+        walked += ratios
+        periods.append(k)
+        if stopped:
+            break
+    return walked, periods, stopped
+
+
+# chunk sizes that do not divide 52, and 52 itself
+SIZES = [1, 5, 51, 52, 53, 100, 256] * 5
+
+
+def test_walk_on_replays_a_closed_orbit_as_the_map_walks_it(monkeypatch):
+    plain = iterate_ratio(PERIOD_52, PERIOD_52_X0, 2 * sum(SIZES)).values
+    walked, periods, stopped = walk_in_chunks(PERIOD_52, [PERIOD_52_X0], SIZES)
+    assert walked == plain[: len(walked)] and not stopped
+    # it closes once, on the period 52, and keeps it
+    first = periods.index(52)
+    assert periods[:first] == [None] * first and set(periods[first:]) == {52}
+    # once closed it replays a list or an array, in its type, without the map
+    module = sys.modules["ratiodyn.simulate"]
+    monkeypatch.setattr(module, "advance_ratio", None)
+    end = sum(SIZES[: first + 1]) + 1
+    for walked in (plain[:end], array("d", plain[:end])):
+        for n in SIZES:
+            ratios, k, stopped = walk_on(PERIOD_52, walked, n, 52)
+            assert (type(ratios), k, stopped) == (type(walked), 52, False)
+            walked += ratios
+        assert list(walked) == plain[: len(walked)]
+    # a given period is not looked for again: walked[-k:] starts over
+    assert walk_on(None, [7.0, 1.0, 2.0, 3.0], 5, 2)[0] == [2.0, 3.0, 2.0, 3.0, 2.0]
+
+
+def test_walk_on_walks_an_orbit_that_never_closes():
+    plain = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, sum(SIZES)).values
+    walked, periods, stopped = walk_in_chunks(NEUTRAL_EXAMPLE, [1.5], SIZES)
+    assert walked == plain and not stopped
+    assert periods == [None] * len(SIZES)
+    # the walk goes on from the last ratio of an array too
+    ratios, k, stopped = walk_on(NEUTRAL_EXAMPLE, array("d", plain[:300]), 200)
+    assert (ratios, k, stopped) == (plain[300:500], None, False)
+
+
+def test_walk_on_stops_at_a_ratio_whose_cube_is_0():
+    # 1e-110 cubes to 0, so no step is taken from it
+    assert walk_on(NEUTRAL_EXAMPLE, [1e-110], 10) == ([], None, True)
+    assert walk_in_chunks(NEUTRAL_EXAMPLE, [1.0, 1e-110], SIZES) == ([1.0, 1e-110], [None], True)
+    # a ratio of exactly 0 is reached, and the walk stops after it
+    assert walk_on(ZERO_RATIO, [1.0], 10) == ([0.0], None, True)
+    assert walk_in_chunks(ZERO_RATIO, [1.0], SIZES)[0] == iterate_ratio(ZERO_RATIO, 1.0, 10).values
 
 
 # (params, x0, period): from (1, x0) the oracle's own walk closes on a float
