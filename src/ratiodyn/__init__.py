@@ -49,7 +49,7 @@ from .outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from .polynomial import Polynomial, RootIsolationError, real_roots_in
+from .polynomial import RootIsolationError
 from .ratio_map import (
     CriticalPoints,
     Equilibrium,

@@ -368,9 +368,8 @@ def classify(
     repeats a value it is periodic for ever, and the walker replays that
     cycle instead of applying the map, with the same answers.
 
-    ``tol`` is the tail tolerance of the walk and of the oracle.  Its
-    default is ``TAIL_TOL`` (1e-8), while ``ratiodyn classify`` and
-    ``ratiodyn sweep`` pass ``--tol``, whose default is 1e-9.
+    ``tol`` is the tail tolerance of the walk and of the oracle, as is
+    ``--tol`` of ``ratiodyn classify`` and ``ratiodyn sweep``.
 
     The start must be positive, and must pass ``start_ratio``: finite, with
     a finite nonzero ``x0 / x_minus1``.

@@ -24,7 +24,7 @@ from .cycles import PairingError, find_two_cycles, unit_product_cycle
 from .polynomial import RootIsolationError
 from .ratio_map import Parameters, equilibria
 from .simulate import iterate_solution
-from .tolerances import DEFAULT_BUDGET, EPS_CRIT, EPS_SEARCHED, ROOT_TOL
+from .tolerances import DEFAULT_BUDGET, EPS_CRIT, EPS_SEARCHED, ROOT_TOL, TAIL_TOL
 from .verify import run_fixture_checks
 
 SCHEMA_VERSION = 1
@@ -101,7 +101,7 @@ def build_analysis_report(params: Parameters, tol: float = ROOT_TOL) -> dict:
     """Everything the analytic layer can say about one parameter set."""
     eqs = equilibria(params, tol)
     cycles = find_two_cycles(params, tol)
-    crit = criterion_report(params, tol)
+    crit = criterion_report(params)
     verdicts = []
     for e in eqs:
         try:
@@ -120,7 +120,7 @@ def build_analysis_report(params: Parameters, tol: float = ROOT_TOL) -> dict:
     remark = classify_remark(params, tol)
     if remark is not None:
         verdicts.append({"attractor": "trapping_interval", **_verdict_dict(remark)})
-    unit = unit_product_cycle(params, tol)
+    unit = unit_product_cycle(params)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -371,16 +371,17 @@ def _build_parser():
     common.add_argument(
         "--float-format", choices=("shortest", "fixed17"), default="shortest"
     )
-    tol = _Parser(add_help=False)
-    tol.add_argument(
-        "--tol", type=float, default=ROOT_TOL,
-        help="root tolerance for analyze; tail tolerance for classify and sweep "
-        "(default %(default)s)",
+    tail = _Parser(add_help=False)
+    tail.add_argument(
+        "--tol", type=float, default=TAIL_TOL, help="tail tolerance (default %(default)s)"
     )
     report = _Parser(add_help=False)
     report.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("analyze", parents=[common, tol, report])
+    p = sub.add_parser("analyze", parents=[common, report])
+    p.add_argument(
+        "--tol", type=float, default=ROOT_TOL, help="root tolerance (default %(default)s)"
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", parents=[common])
@@ -389,13 +390,13 @@ def _build_parser():
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("classify", parents=[common, tol, report])
+    p = sub.add_parser("classify", parents=[common, tail, report])
     p.add_argument("--x-1", dest="x_minus1", type=float, default=1.0)
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("sweep", parents=[common, tol])
+    p = sub.add_parser("sweep", parents=[common, tail])
     p.add_argument("--c-range", default=None, help="lo:hi:count, inclusive endpoints")
     p.add_argument("--x0-ratio", dest="x0_ratio", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=DEFAULT_BUDGET)

@@ -18,7 +18,7 @@ from .ratio_map import (
     phi_double_prime,
     second_iterate_second_derivative,
 )
-from .tolerances import EPS_CRIT, ROOT_TOL
+from .tolerances import EPS_CRIT
 
 __all__ = [
     "CriterionReport",
@@ -207,7 +207,7 @@ class CriterionReport:
     applicable: dict = field(default_factory=dict)
 
 
-def criterion_report(params: Parameters, tol: float = ROOT_TOL):
+def criterion_report(params: Parameters):
     """Evaluate every criterion quantity, gating each behind its hypothesis.
 
     kappa applies only at a unit-product cycle with multiplier 1; l and S''(q)
@@ -216,9 +216,9 @@ def criterion_report(params: Parameters, tol: float = ROOT_TOL):
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     sigma = b + 2.0 * c + 3.0 * d
-    # the band classify decides a + b + c + d = 1 in, whatever the root tol
+    # the band classify decides a + b + c + d = 1 in
     at_one = abs(a + b + c + d - 1.0) <= EPS_CRIT
-    cyc = unit_product_cycle(params, tol)
+    cyc = unit_product_cycle(params)
     kap = lv = s2q = None
     applicable = {
         "sigma": at_one,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomial import Polynomial, real_roots_flagged
+from .polynomial import real_roots_flagged
 from .ratio_map import Parameters, phi, phi_prime
-from .tolerances import EPS_SEARCHED, ROOT_TOL
+from .tolerances import EPS_CRIT, EPS_SEARCHED, ROOT_TOL
 
 __all__ = [
     "TwoCycle",
@@ -56,9 +56,18 @@ def _make_cycle(params, p, q, unit_product=None):
     )
 
 
-def _two_cycle_coeffs(a, b, c, d):
-    """The ascending coefficients of the 2-cycle sextic, in plain arithmetic
-    that works on floats and on symbols alike."""
+def two_cycle_poly(params) -> tuple:
+    """The ascending coefficients of the degree-6 polynomial whose positive
+    roots are the 2-cycle points.
+
+    Clearing denominators in phi(phi(t)) = t gives the degree-10 polynomial
+    t*N^3 - a*N^3 - b*N^2*t^3 - c*N*t^6 - d*t^9 (N the numerator of phi).
+    The fixed-point quartic divides it exactly, and the quotient is
+    returned in closed form (the tests check the product symbolically).
+    The arithmetic is plain, so ``params`` may be any object with the
+    attributes a, b, c, d: floats, fractions or symbols.
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
     return (
         a * d * d,
         d * (2 * a * c - d),
@@ -68,17 +77,6 @@ def _two_cycle_coeffs(a, b, c, d):
         2 * a * a * b - a * c - d,
         a * a * a,
     )
-
-
-def two_cycle_poly(params: Parameters) -> Polynomial:
-    """The degree-6 polynomial whose positive roots are the 2-cycle points.
-
-    Clearing denominators in phi(phi(t)) = t gives the degree-10 polynomial
-    t*N^3 - a*N^3 - b*N^2*t^3 - c*N*t^6 - d*t^9 (N the numerator of phi).
-    The fixed-point quartic divides it exactly, and the quotient is
-    returned in closed form (the tests check the product symbolically).
-    """
-    return Polynomial(_two_cycle_coeffs(params.a, params.b, params.c, params.d))
 
 
 def _in_floats(params, t):
@@ -113,6 +111,8 @@ def _polish_cycle_point(params, t):
         if not abs(step) <= 0.1 * max(1.0, abs(t)):
             break  # too far from a well-separated root to trust Newton
         cand = t - step
+        if cand == 0.0:
+            break  # the pole of phi
         r = residual(cand)
         if not r < best:
             break
@@ -136,10 +136,9 @@ def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
     walk and no multiplier can be taken there, as on the one 2-cycle of
     a = 1e-120, b = c = d = 1, about (1e-120, 1e360).
     """
-    poly = two_cycle_poly(params)
     roots = [
         _polish_cycle_point(params, r)
-        for r, _ in real_roots_flagged(poly, 0.0, math.inf, tol)
+        for r, _ in real_roots_flagged(two_cycle_poly(params), 0.0, math.inf, tol)
         if _in_floats(params, r)
     ]
     points = [
@@ -172,16 +171,17 @@ def find_two_cycles(params: Parameters, tol: float = ROOT_TOL):
     return cycles
 
 
-def unit_product_cycle(params: Parameters, tol: float = ROOT_TOL):
+def unit_product_cycle(params: Parameters):
     """The unique 2-cycle with p*q = 1, built from X^2 - ((a-c)/d) X + 1 = 0.
 
     Exists exactly when (a-c)/d = (d-b+1)/a > 2; the boundary value 2 gives a
-    double root at the fixed point 1, not a cycle, and reports absent.
+    double root at the fixed point 1, not a cycle, and reports absent.  Both
+    closed-form conditions are decided in the EPS_CRIT band.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     k1 = (a - c) / d
     k2 = (d - b + 1.0) / a
-    if abs(k1 - k2) > tol or not k1 > 2.0 + tol:
+    if abs(k1 - k2) > EPS_CRIT or not k1 > 2.0 + EPS_CRIT:
         return None
     s = math.sqrt(k1 * k1 - 4.0)
     q = 0.5 * (k1 + s)

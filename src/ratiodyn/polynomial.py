@@ -1,20 +1,17 @@
 """Real univariate polynomials with robust real-root isolation.
 
-Coefficients are stored in ascending degree order, so ``Polynomial([d, c, b, a])``
-is ``d + c*t + b*t**2 + a*t**3``.
+A polynomial is the sequence of its coefficients in ascending degree order,
+so ``(d, c, b, a)`` is ``d + c*t + b*t**2 + a*t**3``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .tolerances import ROOT_TOL
 
 __all__ = [
-    "Polynomial",
     "RootIsolationError",
-    "real_roots_in",
     "real_roots_flagged",
 ]
 
@@ -25,37 +22,6 @@ NOISE_FLOOR = 1e-9
 
 class RootIsolationError(Exception):
     """Raised when two sign changes cannot be separated at the requested tolerance."""
-
-
-def _strip(coeffs):
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    return c
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple = field(default=(0.0,))
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(float(x) for x in _strip(coeffs)))
-
-    @property
-    def degree(self):
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0.0:
-            return -1  # zero polynomial
-        return len(self.coeffs) - 1
-
-    def __call__(self, t: float) -> float:
-        return _horner(self.coeffs, t)
-
-    def cauchy_bound(self) -> float:
-        """All real roots lie in (-B, B) with B = 1 + max |c_i / c_n|."""
-        lead = self.coeffs[-1]
-        if lead == 0.0:
-            return 1.0
-        return 1.0 + max(abs(c / lead) for c in self.coeffs[:-1])
 
 
 def _horner(coeffs, x):
@@ -128,7 +94,7 @@ def _scale_at(coeffs, x):
 
 
 def _roots(coeffs, lo, hi, tol):
-    """real_roots_flagged on a coefficient tuple of degree >= 1 with a
+    """real_roots_flagged on float coefficients of degree >= 1 with a
     nonzero leading coefficient, over a finite (lo, hi)."""
     if len(coeffs) == 2:
         r = -coeffs[0] / coeffs[1]
@@ -160,8 +126,14 @@ def _roots(coeffs, lo, hi, tol):
     return roots
 
 
-def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL):
-    """All real roots of p in (lo, hi) as (root, simple) pairs, ascending.
+def real_roots_flagged(coeffs, lo: float, hi: float, tol: float = ROOT_TOL):
+    """All real roots in (lo, hi) of the polynomial with the ascending
+    coefficients ``coeffs``, as (root, simple) pairs, ascending.
+
+    The coefficients are taken as floats, and zeros at the top are dropped,
+    so a leading coefficient that underflowed lowers the degree.  An
+    infinite end becomes the Cauchy bound: every real root lies in (-B, B)
+    with B = 1 + max |c_i / c_n|.
 
     Roots of the derivative partition (lo, hi) into intervals on which p is
     monotone; each monotone interval holds at most one root, bracketed by a
@@ -174,19 +146,16 @@ def real_roots_flagged(p: Polynomial, lo: float, hi: float, tol: float = ROOT_TO
         raise ValueError("need lo < hi")
     if tol <= 0.0:
         raise ValueError("need tol > 0")
-    if math.isinf(hi):
-        hi = p.cauchy_bound()
-        if hi <= lo:
-            return []
-    if math.isinf(lo):
-        lo = -p.cauchy_bound()
-        if hi <= lo:
-            return []
-    if p.degree <= 0:
+    coeffs = list(map(float, coeffs))
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if len(coeffs) < 2:
         return []
-    return _roots(p.coeffs, lo, hi, tol)
-
-
-def real_roots_in(p: Polynomial, lo: float, hi: float, tol: float = ROOT_TOL):
-    """Sorted real roots of p in (lo, hi), including even-multiplicity ones."""
-    return [r for r, _ in real_roots_flagged(p, lo, hi, tol)]
+    bound = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    if math.isinf(hi):
+        hi = bound
+    if math.isinf(lo):
+        lo = -bound
+    if hi <= lo:
+        return []
+    return _roots(coeffs, lo, hi, tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomial import Polynomial, real_roots_flagged
+from .polynomial import real_roots_flagged
 from .tolerances import EPS_CRIT, ROOT_TOL
 
 __all__ = [
@@ -89,14 +89,16 @@ def phi_double_prime(params: Parameters, t: float) -> float:
     return ((2.0 * b * t + 6.0 * c) * t + 12.0 * d) / t ** 5
 
 
-def numerator_poly(params: Parameters) -> Polynomial:
-    """N(t) = a t^3 + b t^2 + c t + d, the numerator of phi."""
-    return Polynomial([params.d, params.c, params.b, params.a])
+def numerator_poly(params: Parameters) -> tuple:
+    """N(t) = a t^3 + b t^2 + c t + d, the numerator of phi, as its
+    ascending coefficients."""
+    return (params.d, params.c, params.b, params.a)
 
 
-def fixed_point_poly(params: Parameters) -> Polynomial:
-    """phi(t) = t cleared of denominators: t^4 - a t^3 - b t^2 - c t - d."""
-    return Polynomial([-params.d, -params.c, -params.b, -params.a, 1.0])
+def fixed_point_poly(params: Parameters) -> tuple:
+    """phi(t) = t cleared of denominators, t^4 - a t^3 - b t^2 - c t - d,
+    as its ascending coefficients."""
+    return (-params.d, -params.c, -params.b, -params.a, 1.0)
 
 
 def classify_multiplier(multiplier: float) -> str:
@@ -156,13 +158,12 @@ def negative_escape_region(params: Parameters, tol: float = ROOT_TOL):
     Returns None unless N has exactly one negative root and phi(t) = r has a
     unique solution in (r, 0).
     """
-    n_poly = numerator_poly(params)
-    neg = [x for x, _ in real_roots_flagged(n_poly, -math.inf, 0.0, tol)]
+    neg = [x for x, _ in real_roots_flagged(numerator_poly(params), -math.inf, 0.0, tol)]
     if len(neg) != 1:
         return None
     r = neg[0]
     # phi(t) = r  <=>  N(t) - r t^3 = 0
-    shifted = Polynomial([params.d, params.c, params.b, params.a - r])
+    shifted = (params.d, params.c, params.b, params.a - r)
     inner = [x for x, _ in real_roots_flagged(shifted, r, 0.0, tol)]
     if len(inner) != 1:
         return None

@@ -32,7 +32,7 @@ from ratiodyn.outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from ratiodyn.polynomial import real_roots_in
+from ratiodyn.polynomial import real_roots_flagged
 from ratiodyn.ratio_map import (
     Equilibrium, Parameters, equilibria, fixed_point_poly, phi, phi_prime,
 )
@@ -501,7 +501,7 @@ def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
 
 def test_identify_names_no_limit_at_an_unknown_equilibrium():
     eqs = equilibria(NEUTRAL_EXAMPLE)
-    (neg,) = real_roots_in(fixed_point_poly(NEUTRAL_EXAMPLE), -math.inf, 0.0)
+    ((neg, _),) = real_roots_flagged(fixed_point_poly(NEUTRAL_EXAMPLE), -math.inf, 0.0)
     assert phi(NEUTRAL_EXAMPLE, neg) == pytest.approx(neg, rel=1e-12)
     # a negative equilibrium repels, so a positive start never settles there
     assert abs(phi_prime(NEUTRAL_EXAMPLE, neg)) > 1.0

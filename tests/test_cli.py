@@ -261,6 +261,25 @@ def test_analyze_gates_the_unit_sum_as_classify_does_at_any_tol():
     )
 
 
+def test_analyze_decides_the_unit_cycle_as_classify_does_at_any_tol():
+    # (a-c)/d and (d-b+1)/a differ by 1e-6: the cycle the search finds has
+    # p*q = 0.9999999, so no p*q = 1 cycle exists, whatever the root tol
+    code, out = run_cli(
+        "analyze", "--params", "0.10000001,1.79,-2,1", "--tol", "1e-6", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["unit_product_cycle"] is None
+    assert report["criteria"]["kappa"] is None
+
+
+def test_a_newton_step_onto_the_pole_is_no_bad_argument():
+    # the 2-cycle polish steps onto t = 0 here; the tiny-a PairingError
+    # still raised on this set is a known defect, exit 2
+    code, _ = run_cli("classify", "--params", "5e-324,0.3,-3,1", "--x0", "1.5")
+    assert code != 1
+
+
 def test_verify_paper_passes():
     code, out = run_cli("verify-paper")
     assert code == 0

@@ -22,12 +22,9 @@ EXEMPT = {"tolerances.py", "verify.py"}
 # every public function with a tol or budget parameter, and its default
 EXPECTED_DEFAULTS = {
     ("polynomial", "real_roots_flagged", "tol"): ROOT_TOL,
-    ("polynomial", "real_roots_in", "tol"): ROOT_TOL,
     ("ratio_map", "equilibria", "tol"): ROOT_TOL,
     ("ratio_map", "negative_escape_region", "tol"): ROOT_TOL,
     ("cycles", "find_two_cycles", "tol"): ROOT_TOL,
-    ("cycles", "unit_product_cycle", "tol"): ROOT_TOL,
-    ("criteria", "criterion_report", "tol"): ROOT_TOL,
     ("classify", "classify_remark", "tol"): ROOT_TOL,
     ("cli", "build_analysis_report", "tol"): ROOT_TOL,
     ("classify", "classify", "tol"): TAIL_TOL,
@@ -95,11 +92,13 @@ def test_tol_and_budget_defaults_are_table_entries():
 
 def test_cli_defaults_are_table_entries():
     parser = _build_parser()
-    for command in ("analyze", "classify", "sweep"):
+    # analyze's --tol roots; classify's and sweep's is the library's tail tol
+    args = parser.parse_args(["analyze", "--params", "1,1,1,1"])
+    assert args.tol is ROOT_TOL
+    for command in ("classify", "sweep"):
         args = parser.parse_args([command, "--params", "1,1,1,1"])
-        assert args.tol is ROOT_TOL
-        if command != "analyze":
-            assert args.steps is DEFAULT_BUDGET
+        assert args.tol is TAIL_TOL
+        assert args.steps is DEFAULT_BUDGET
 
 
 def test_first_tail_check_reads_a_whole_window():
