@@ -230,10 +230,17 @@ def classify_remark(params: Parameters, tol: float = ROOT_TOL) -> Verdict | None
     Applies when positive critical points exist, every equilibrium sits below
     the minimum point x_m, and the trapping interval lies on the positive axis.
     """
+    if critical_points(params) is None:
+        return None
+    return _trapping_remark(params, equilibria(params, tol))
+
+
+def _trapping_remark(params, eqs):
+    """classify_remark for a set whose positive equilibria ``eqs`` are
+    already rooted."""
     cps = critical_points(params)
     if cps is None:
         return None
-    eqs = equilibria(params, tol)
     if any(e.value >= cps.x_m for e in eqs):
         return None
     f1 = phi(params, cps.x_m)
@@ -287,17 +294,47 @@ def _nearest_cycle(cycles, lo, hi):
     return None
 
 
-def _identify(det, eqs, cycles):
+class _Limits:
+    """The positive equilibria and 2-cycles of one parameter set, each
+    polynomial rooted once, on first use: most orbits settle on an
+    equilibrium and never read the 2-cycles, or the other way round."""
+
+    __slots__ = ("params", "_eqs", "_cycles")
+
+    def __init__(self, params):
+        self.params = params
+        self._eqs = self._cycles = None
+
+    def eqs(self):
+        if self._eqs is None:
+            self._eqs = equilibria(self.params)
+        return self._eqs
+
+    def cycles(self):
+        if self._cycles is None:
+            self._cycles = find_two_cycles(self.params)
+        return self._cycles
+
+    def candidate(self):
+        """Whether some limit is one the orbit can near without landing on
+        it; the 2-cycles are rooted only when no equilibrium is one."""
+        return any(
+            abs(o.multiplier) <= 1.0 + EPS_SEARCHED
+            for limits in (self.eqs, self.cycles) for o in limits()
+        )
+
+
+def _identify(det, limits):
     """The (equilibrium, 2-cycle) pair a tail detection points at, or
     (None, None) when it names no known one."""
     if det.kind == "equilibrium":
-        # ``eqs`` holds every positive equilibrium, and a ratio orbit from a
-        # positive start never settles on a negative one t = -s.  For c > 0,
-        # phi maps (0, inf) into itself.  For c <= 0, -s is a root of the
-        # quartic, so s^4 = b s^2 + |c| s + d - a s^3 < b s^2 + 2|c| s + 3d,
+        # ``limits.eqs()`` holds every positive equilibrium, and a ratio orbit
+        # from a positive start never settles on a negative one t = -s.  For
+        # c > 0, phi maps (0, inf) into itself.  For c <= 0, -s is a root of
+        # the quartic, so s^4 = b s^2 + |c| s + d - a s^3 < b s^2 + 2|c| s + 3d,
         # and |phi'(-s)| = (b s^2 + 2|c| s + 3d) / s^4 > 1: -s repels.
-        return _nearest_equilibrium(eqs, det.values[0]), None
-    return None, _nearest_cycle(cycles, *det.values)
+        return _nearest_equilibrium(limits.eqs(), det.values[0]), None
+    return None, _nearest_cycle(limits.cycles(), *det.values)
 
 
 def _mean_distance(vals, pts):
@@ -360,13 +397,19 @@ def classify(
     attracting limit: a stay near a repelling one can end later.  A ratio
     orbit converges to a repelling equilibrium or 2-cycle only by landing on
     it, which the first 1024 steps show; so when every limit is repelling
-    the walk stops there.  An orbit that lands exactly on the limit within a
-    few steps (the preimage-set case) gets the exact-landing verdict.  If no
-    limit can be identified within the budget the empirical oracle's class
-    is returned.  The oracle reads the walked ratios and walks on only past
-    them.  Both take every new ratio from ``walk_on``: once the float orbit
-    repeats a value it is periodic for ever, and the walker replays that
-    cycle instead of applying the map, with the same answers.
+    the walk stops there.  Each polynomial is rooted at most once, and only
+    when the walk first reads it: the fixed-point quartic when a tail names
+    an equilibrium, or when the walk reaches step 1024 (or ends sooner) with
+    no settled tail; the 2-cycle sextic when a tail names a 2-cycle, when no
+    equilibrium is non-repelling at that point, or for the proximity pass.
+    So a set whose 2-cycle search fails still gets a verdict from an orbit
+    that never reads the 2-cycles.  An orbit that lands exactly on the limit
+    within a few steps (the preimage-set case) gets the exact-landing
+    verdict.  If no limit can be identified within the budget the empirical
+    oracle's class is returned.  The oracle reads the walked ratios and walks
+    on only past them.  Both take every new ratio from ``walk_on``: once the
+    float orbit repeats a value it is periodic for ever, and the walker
+    replays that cycle instead of applying the map, with the same answers.
 
     ``tol`` is the tail tolerance of the walk and of the oracle, as is
     ``--tol`` of ``ratiodyn classify`` and ``ratiodyn sweep``.
@@ -379,19 +422,15 @@ def classify(
         raise ValueError("initial conditions must be positive")
     if budget < 1:
         raise ValueError("need budget >= 1")
-    eqs = equilibria(params)
-    cycles = find_two_cycles(params)
-    # a limit the orbit can near without landing on it
-    candidate = any(abs(o.multiplier) <= 1.0 + EPS_SEARCHED for o in [*eqs, *cycles])
-    walk = budget if candidate else min(budget, CHUNK)
+    limits = _Limits(params)
 
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
     values = array("d", [t])
     done = 0
     k = None  # the period of the float cycle the ratios closed on, once they have
     eq = cyc = None
-    while done < walk:
-        n = min(max(done, FIRST_CHECK), CHUNK, walk - done)
+    while done < budget:
+        n = min(max(done, FIRST_CHECK), CHUNK, budget - done)
         chunk, k, stopped = walk_on(params, values, n, k)
         values += array("d", chunk)  # from a list as fast as fromlist, an array by memcpy
         if stopped:
@@ -399,20 +438,23 @@ def classify(
         done += n
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
-            eq, cyc = _identify(det, eqs, cycles)
+            eq, cyc = _identify(det, limits)
             limit = eq or cyc
             # an early check accepts only an attracting limit, which the orbit
             # does not leave again; a stay near a repelling one can end later
-            if done >= CHUNK or done == walk or (
+            if done >= CHUNK or done == budget or (
                 limit is not None and abs(limit.multiplier) < 1.0 - EPS_SEARCHED
             ):
                 break
             eq = cyc = None
         if not math.isfinite(values[-1]):
             break
+        # the walk reaches step CHUNK exactly, once, when the budget allows
+        if done == CHUNK and not limits.candidate():
+            break
 
-    if det.kind == "none" and candidate:
-        hit = _proximity_identify(values, eqs, cycles)
+    if det.kind == "none" and limits.candidate():
+        hit = _proximity_identify(values, limits.eqs(), limits.cycles())
         if isinstance(hit, Equilibrium):
             eq = hit
         elif isinstance(hit, TwoCycle):

@@ -18,7 +18,9 @@ import os
 import sys
 
 from . import __version__
-from .classify import classify, classify_cycle_limit, classify_equilibrium_limit, classify_remark
+from .classify import (
+    _trapping_remark, classify, classify_cycle_limit, classify_equilibrium_limit,
+)
 from .criteria import DegeneracyError, criterion_report
 from .cycles import PairingError, find_two_cycles, unit_product_cycle
 from .polynomial import RootIsolationError
@@ -117,7 +119,7 @@ def build_analysis_report(params: Parameters, tol: float = ROOT_TOL) -> dict:
         verdicts.append(
             {"attractor": "two_cycle", "p": cyc.p, "q": cyc.q, **_verdict_dict(v)}
         )
-    remark = classify_remark(params, tol)
+    remark = _trapping_remark(params, eqs)
     if remark is not None:
         verdicts.append({"attractor": "trapping_interval", **_verdict_dict(remark)})
     unit = unit_product_cycle(params)

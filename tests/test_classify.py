@@ -18,11 +18,12 @@ from ratiodyn.classify import (
     classify_cycle_limit,
     classify_equilibrium_limit,
     classify_remark,
+    _Limits,
     _identify,
     _landing_index,
     _mean_distance,
 )
-from ratiodyn.cycles import find_two_cycles, unit_product_cycle
+from ratiodyn.cycles import PairingError, find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
@@ -500,14 +501,14 @@ def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
 
 
 def test_identify_names_no_limit_at_an_unknown_equilibrium():
-    eqs = equilibria(NEUTRAL_EXAMPLE)
+    limits = _Limits(NEUTRAL_EXAMPLE)
     ((neg, _),) = real_roots_flagged(fixed_point_poly(NEUTRAL_EXAMPLE), -math.inf, 0.0)
     assert phi(NEUTRAL_EXAMPLE, neg) == pytest.approx(neg, rel=1e-12)
     # a negative equilibrium repels, so a positive start never settles there
     assert abs(phi_prime(NEUTRAL_EXAMPLE, neg)) > 1.0
-    assert _identify(LimitReport("equilibrium", (neg,), 0.0), eqs, []) == (None, None)
-    (one,) = [e for e in eqs if abs(e.value - 1.0) <= 1e-6]
-    assert _identify(LimitReport("equilibrium", (1.0,), 0.0), eqs, []) == (one, None)
+    assert _identify(LimitReport("equilibrium", (neg,), 0.0), limits) == (None, None)
+    (one,) = [e for e in equilibria(NEUTRAL_EXAMPLE) if abs(e.value - 1.0) <= 1e-6]
+    assert _identify(LimitReport("equilibrium", (1.0,), 0.0), limits) == (one, None)
 
 
 def test_landing_index_window():
@@ -549,3 +550,51 @@ def test_monotonicity_evidence_only_where_a_verdict_reads_it(monkeypatch):
     v, calls = monotonicity_calls(monkeypatch, Parameters(1.5, 1.2, -2.9, 1.2), 1.5)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c2")
     assert calls == [(1, 0)]
+
+
+def rooting_calls(monkeypatch, params, x0):
+    """classify's verdict from (1, x0) and how often it rooted the
+    fixed-point quartic (``equilibria``) and the 2-cycle sextic
+    (``find_two_cycles``)."""
+    module = sys.modules["ratiodyn.classify"]
+    calls = dict.fromkeys(("equilibria", "find_two_cycles"), 0)
+    for name in calls:
+        def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return classify(params, 1.0, x0), calls
+
+
+def test_each_polynomial_is_rooted_only_where_the_walk_reads_it(monkeypatch):
+    # the tail names an equilibrium above 1: no 2-cycle search
+    v, calls = rooting_calls(monkeypatch, Parameters(1.0, 1.0, 1.0, 1.0), 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.a")
+    assert calls == {"equilibria": 1, "find_two_cycles": 0}
+    # the tail names a 2-cycle with p*q > 1: no quartic search
+    v, calls = rooting_calls(monkeypatch, UNIT_CYCLE_EXAMPLE, 3.0)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T2.a")
+    assert calls == {"equilibria": 0, "find_two_cycles": 1}
+    # no settled tail at step 1024: every limit repels, which takes both
+    # searches to tell
+    v, calls = rooting_calls(monkeypatch, ALL_REPELLING, 1.0)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
+    assert calls == {"equilibria": 1, "find_two_cycles": 1}
+    # the neutral equilibrium at 1 keeps the walk going without the 2-cycles,
+    # and the proximity pass reads both analyses without rooting either again
+    v, calls = rooting_calls(monkeypatch, NEUTRAL_EXAMPLE, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    assert calls == {"equilibria": 1, "find_two_cycles": 1}
+
+
+# a tiny a: the sextic's roots span ~80 decades, and the float 2-cycle
+# search raises PairingError here (a known defect of the root search)
+TINY_A = Parameters(1e-20, 2.5, -0.5, 0.2)
+
+
+def test_an_orbit_that_never_reads_the_cycles_answers_where_their_search_fails():
+    with pytest.raises(PairingError):
+        find_two_cycles(TINY_A)
+    v = classify(TINY_A, 1.0, 1.5)
+    assert v == Verdict(DIVERGES_TO_INFINITY, "T1.a", notes="oracle=diverges_to_infinity")

@@ -280,6 +280,28 @@ def test_a_newton_step_onto_the_pole_is_no_bad_argument():
     assert code != 1
 
 
+def test_a_walk_that_reads_a_failing_cycle_search_exits_2():
+    # the tiny-a PairingError, a known defect: this orbit needs the 2-cycles
+    code, _ = run_cli("classify", "--params", "1e-20,0.3,-3,0.2", "--x0", "1.5")
+    assert code == 2
+
+
+def test_analyze_roots_the_quartic_once(monkeypatch):
+    # phi has positive critical points here, so the trapping remark reads the
+    # equilibria too
+    calls = []
+    for name in ("ratiodyn.cli", "ratiodyn.classify"):
+        module = sys.modules[name]
+
+        def recording(*args, _real=module.equilibria, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "equilibria", recording)
+    build_analysis_report(Parameters(0.1, 1.79, -3.0, 1.0))
+    assert len(calls) == 1
+
+
 def test_verify_paper_passes():
     code, out = run_cli("verify-paper")
     assert code == 0
