@@ -29,9 +29,11 @@ from .outcomes import (
 from .ratio_map import (
     Equilibrium,
     Parameters,
+    classify_multiplier,
     critical_points,
     equilibria,
     phi,
+    phi_prime,
 )
 from .simulate import (
     DECREASING,
@@ -80,6 +82,20 @@ CHUNK = 1024
 #: a detected tail names a known equilibrium or 2-cycle within this relative
 #: distance
 MATCH_TOL = 1e-3
+
+# the contraction certificate's rounding (see _certify): u = 2^-53 is the
+# unit roundoff of a double, _PAD the pad on a float evaluation per unit of
+# the absolute values of its terms, and _UP / _DOWN turn a float computed
+# from bounds into a bound on the safe side
+_U = 2.0 ** -53
+_PAD = 16.0 * _U
+_UP = 1.0 + _PAD
+_DOWN = 1.0 - _PAD
+#: the certificate declines unless a, b, d, a nonzero |c| and every window
+#: end lie within [_TINY, _HUGE]: there no product or quotient it forms
+#: leaves the normal floats
+_TINY = 2.0 ** -50
+_HUGE = 2.0 ** 50
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,6 +310,158 @@ def _nearest_cycle(cycles, lo, hi):
     return None
 
 
+def _phi_padded(params, t):
+    """phi(t) as the ratio walk computes it, and a pad that exceeds its
+    rounding error (see _certify)."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    f = (((a * t + b) * t + c) * t + d) / (t * t * t)
+    return f, _PAD * (a + (b + (abs(c) + d / t) / t) / t)
+
+
+def _slope_bound(params, lo, hi):
+    """A float at least sup |phi'| over [lo, hi] (see _certify).
+
+    phi'(t) = -g(t) / t^4 with g(t) = b t^2 + 2 c t + 3 d.  g is convex
+    (b > 0), so |g| on [lo, hi] peaks at an end, or at g's vertex -c / b,
+    where -g = c^2 / b - 3 d, if the vertex lies in [lo, hi].  The vertex
+    counts whenever its float quotient lies within 4 u of [lo, hi], as it
+    does when the vertex itself lies in it; counting it needlessly only
+    raises the bound.
+    """
+    b, c, d = params.b, params.c, params.d
+    top = max(abs((b * lo + 2.0 * c) * lo + 3.0 * d), abs((b * hi + 2.0 * c) * hi + 3.0 * d))
+    if lo * (1.0 - 4.0 * _U) <= -c / b <= hi * (1.0 + 4.0 * _U):
+        top = max(top, c * c / b - 3.0 * d)
+    top += _PAD * ((b * hi + 2.0 * abs(c)) * hi + 3.0 * d)
+    return top / (lo * lo * lo * lo) * _UP
+
+
+def _certify(det, params):
+    """The equilibrium or 2-cycle that the settled tail ``det`` points at,
+    where phi (or phi∘phi) provably contracts a window around the tail into
+    itself and the limit lies off the unit band; else None.  It names the
+    limit _identify's root matching would name, without rooting a polynomial,
+    and only where the verdict is T1.a, T1.b, T2.a or T2.b.
+
+    Equilibrium, tail mean m.  Let I = [m - w, m + w] with
+    w = MATCH_TOL max(1, m), the window _nearest_equilibrium searches.  If
+    L >= sup_I |phi'| and r >= |phi(m) - m| with L < 1 and r <= (1 - L) w,
+    then for t in I, |phi(t) - m| <= L |t - m| + r <= w.  So phi maps I into
+    itself and contracts it: I holds exactly one equilibrium, with
+    |phi'| <= L there, which attracts, and which is the one
+    _nearest_equilibrium names.  The test takes L < 1 - EPS_SEARCHED, the
+    margin the walk's early checks ask of an attracting limit, and names
+    the equilibrium only where I lies wholly above 1 + _unit_band or wholly
+    below 1 - _unit_band.
+
+    2-cycle, tail means p < q.  The same test is made of phi∘phi on
+    I = [p - w, p + w], w = MATCH_TOL max(1, p).  Let f be the float phi(p),
+    e >= |f - phi(p)| and L_p >= sup_I |phi'|.  Then J = f ± (L_p w + e)
+    holds phi(I), the rate is L = L_p L_J with L_J >= sup_J |phi'|, and
+    r = |f2 - p| + e2 + L_J e bounds |phi(phi(p)) - p|, where f2 is the
+    float phi(f) with error at most e2: phi(p) and f both lie in J.  So I
+    holds exactly one fixed point p* of phi∘phi, which attracts.  Since
+    |p - p*| <= |p - phi(phi(p))| + L |p - p*|, p* lies in
+    P = p ± r / (1 - L), and q* = phi(p*) in Q = f ± (L_p r / (1 - L) + e).
+    If P lies below Q, then p* < q* and (p*, q*) is a 2-cycle.  If Q also
+    lies in _nearest_cycle's window around q, it is the cycle that names.
+    It is named only where p* q*, which lies between lo(P) lo(Q) and
+    hi(P) hi(Q), lies above 1 + EPS_SEARCHED or below 1 - EPS_SEARCHED.
+
+    Rounding.  Let u = 2^-53.  With a, b, d, a nonzero |c| and every window
+    end in [_TINY, _HUGE], no product or quotient formed here leaves the
+    normal floats, and a difference that comes out small is exact.  So
+    each float operation errs by at most u relative to its exact result.
+    Then (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., SIAM 2002, sections 3.1 and 5.1):
+
+    - phi(t) by the walk's Horner form and quotient (9 operations) errs by
+      at most 10 u A, where A = a + b/t + |c|/t^2 + d/t^3 is the sum of the
+      absolute values of its terms;
+    - g(t) = b t^2 + 2 c t + 3 d (5 operations) errs by at most
+      6 u B(t), B(t) = b t^2 + 2 |c| t + 3 d, and B(lo) <= B(hi);
+    - c^2/b - 3 d errs by at most 4 u (c^2/b + 3 d), and c^2/b + 3 d is at
+      most B(-c/b), which is under (1 + 11 u) B(hi) where the vertex counts.
+
+    The pads are 16 u times the float A or B(hi).  That exceeds each error
+    by at least 5 u A (or 5 u B), which covers the pad's own roundings and
+    those of the sum it is added to.  Every other bound is built from
+    floats that are themselves bounds by at most 8 roundings of
+    nonnegative values, each within a factor (1 + u)^(+-1) of exact, and
+    then multiplied by _UP = 1 + 16 u or _DOWN = 1 - 16 u.  Since
+    (1 + u)^-9 (1 + 16 u) > 1 > (1 + u)^9 (1 - 16 u), an upper bound times
+    _UP, and a lower bound times _DOWN, stays on its safe side: the window
+    ends, J, L, r, (1 - L) w, P, Q and the product range.  A lower end
+    that comes out at or below 0, which _DOWN does not lower, fails the
+    test that needs it positive (or, as the left end of _nearest_cycle's
+    window, makes its test hold as it should).  A value that comes out inf
+    or nan fails every test that accepts.
+
+    The named equilibrium is (m, phi'(m)) and the named cycle is
+    (p, f, p f, phi'(p) phi'(f)).  p lies in P and f in Q, so p < f, and
+    the float p f lies on the side of 1 that p* q* lies on.
+    The certificate also declines where the value it names fails the
+    phi-closure test that classify_equilibrium_limit or
+    classify_cycle_limit makes of it, as it can at a coarse ``tol``.
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
+    if not (
+        _TINY <= min(a, b, d) and max(a, b, d, abs(c)) <= _HUGE
+        and (c == 0.0 or _TINY <= abs(c))
+    ):
+        return None
+    if det.kind == "equilibrium":
+        (m,) = det.values
+        band = _unit_band(params)
+        w = MATCH_TOL * max(1.0, m)
+        lo, hi = (m - w) * _DOWN, (m + w) * _UP
+        if not (_TINY <= lo and hi <= _HUGE and (lo > 1.0 + band or hi < 1.0 - band)):
+            return None
+        rate = _slope_bound(params, lo, hi)
+        f, pad = _phi_padded(params, m)
+        if not (
+            rate < 1.0 - EPS_SEARCHED
+            and (abs(f - m) + pad) * _UP <= (1.0 - rate) * w * _DOWN
+            and abs(phi(params, m) - m) <= EPS_SEARCHED * max(1.0, m)
+        ):
+            return None
+        mu = phi_prime(params, m)
+        return Equilibrium(m, mu, classify_multiplier(mu))
+
+    p, q = det.values
+    w = MATCH_TOL * max(1.0, p)
+    lo, hi = (p - w) * _DOWN, (p + w) * _UP
+    if not (_TINY <= lo and hi <= _HUGE):
+        return None
+    slope_p = _slope_bound(params, lo, hi)
+    f, pad = _phi_padded(params, p)
+    spread = (slope_p * w + pad) * _UP
+    jlo, jhi = (f - spread) * _DOWN, (f + spread) * _UP
+    if not (_TINY <= jlo and jhi <= _HUGE):
+        return None
+    slope_j = _slope_bound(params, jlo, jhi)
+    rate = slope_p * slope_j * _UP
+    f2, pad2 = _phi_padded(params, f)
+    r = (abs(f2 - p) + pad2 + slope_j * pad) * _UP
+    if not (rate < 1.0 - EPS_SEARCHED and r <= (1.0 - rate) * w * _DOWN):
+        return None
+    dp = r / ((1.0 - rate) * _DOWN) * _UP
+    dq = (slope_p * dp + pad) * _UP
+    p_hi, q_lo, q_hi = (p + dp) * _UP, (f - dq) * _DOWN, (f + dq) * _UP
+    wq = MATCH_TOL * max(1.0, q)
+    if not (
+        p_hi < q_lo and (q - wq) * _UP <= q_lo and q_hi <= (q + wq) * _DOWN
+        and (
+            (p - dp) * q_lo * _DOWN > 1.0 + EPS_SEARCHED
+            or p_hi * q_hi * _UP < 1.0 - EPS_SEARCHED
+        )
+        and abs(phi(params, p) - f) <= EPS_SEARCHED * max(1.0, f)
+        and abs(phi(params, f) - p) <= EPS_SEARCHED * max(1.0, p)
+    ):
+        return None
+    return TwoCycle(p, f, p * f, phi_prime(params, p) * phi_prime(params, f), False)
+
+
 class _Limits:
     """The positive equilibria and 2-cycles of one parameter set, each
     polynomial rooted once, on first use: most orbits settle on an
@@ -326,23 +494,27 @@ class _Limits:
 
 def _identify(det, limits):
     """The (equilibrium, 2-cycle) pair a tail detection points at, or
-    (None, None) when it names no known one."""
+    (None, None) when it names no known one.  The contraction certificate
+    names a hyperbolic limit off the unit band without rooting; the roots
+    are matched only where it declines."""
+    named = _certify(det, limits.params)
     if det.kind == "equilibrium":
         # ``limits.eqs()`` holds every positive equilibrium, and a ratio orbit
         # from a positive start never settles on a negative one t = -s.  For
         # c > 0, phi maps (0, inf) into itself.  For c <= 0, -s is a root of
         # the quartic, so s^4 = b s^2 + |c| s + d - a s^3 < b s^2 + 2|c| s + 3d,
         # and |phi'(-s)| = (b s^2 + 2|c| s + 3d) / s^4 > 1: -s repels.
-        return _nearest_equilibrium(limits.eqs(), det.values[0]), None
-    return None, _nearest_cycle(limits.cycles(), *det.values)
+        return named or _nearest_equilibrium(limits.eqs(), det.values[0]), None
+    return None, named or _nearest_cycle(limits.cycles(), *det.values)
 
 
-def _mean_distance(vals, pts):
+def _mean_distance(vals, pts, span=None):
     """Mean over ``vals`` of the distance from each t to the nearest of
-    ``pts`` (one equilibrium, or a 2-cycle's p < q), as floats."""
+    ``pts`` (one equilibrium, or a 2-cycle's p < q), as floats.  A 2-cycle
+    reads ``span``, which is ``(min(vals), max(vals))``."""
     if len(pts) == 2:
         p, q = pts
-        lo, hi = min(vals), max(vals)
+        lo, hi = span
         # Rounding is monotone and symmetric in sign.  So if hi - p < q - hi
         # in floats, then for every t <= hi the float |t - p| is at most
         # the float |t - q|: for p <= t, fl(t - p) <= fl(hi - p) <
@@ -370,13 +542,18 @@ def _proximity_identify(values, eqs, cycles):
     early = values[n - 2 * quarter : n - quarter]
     late = values[n - quarter :]
 
+    # each 2-cycle reads a quarter's least and largest value: take them once
+    early_span, late_span = (
+        [(min(v), max(v)) for v in (early, late)] if cycles else (None, None)
+    )
+
     best = None
     for obj, pts in [(e, (e.value,)) for e in eqs] + [
         (c, (c.p, c.q)) for c in cycles
     ]:
         scale = max(1.0, max(abs(v) for v in pts))
-        e_late = _mean_distance(late, pts)
-        if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts):
+        e_late = _mean_distance(late, pts, late_span)
+        if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts, early_span):
             if best is None or e_late / scale < best[1]:
                 best = (obj, e_late / scale)
     return None if best is None else best[0]
@@ -397,13 +574,19 @@ def classify(
     attracting limit: a stay near a repelling one can end later.  A ratio
     orbit converges to a repelling equilibrium or 2-cycle only by landing on
     it, which the first 1024 steps show; so when every limit is repelling
-    the walk stops there.  Each polynomial is rooted at most once, and only
-    when the walk first reads it: the fixed-point quartic when a tail names
-    an equilibrium, or when the walk reaches step 1024 (or ends sooner) with
-    no settled tail; the 2-cycle sextic when a tail names a 2-cycle, when no
-    equilibrium is non-repelling at that point, or for the proximity pass.
-    So a set whose 2-cycle search fails still gets a verdict from an orbit
-    that never reads the 2-cycles.  An orbit that lands exactly on the limit
+    the walk stops there.  A settled tail names its limit without rooting
+    where a contraction certificate holds: phi (or phi∘phi, for a 2-cycle)
+    maps a window around the tail into itself, under outward-rounded
+    bounds, so the window holds exactly one limit, which attracts, and the
+    limit (or the cycle's product) lies off 1 by more than the band.  The
+    verdict is then T1.a, T1.b, T2.a or T2.b.  Otherwise each polynomial is
+    rooted at most once, and only when the walk first reads it: the
+    fixed-point quartic when a tail the certificate declines names an
+    equilibrium, or when the walk reaches step 1024 (or ends sooner) with no
+    settled tail; the 2-cycle sextic when such a tail names a 2-cycle, when
+    no equilibrium is non-repelling at that point, or for the proximity
+    pass.  So a set whose 2-cycle search fails still gets a verdict from an
+    orbit that never roots the sextic.  An orbit that lands exactly on the limit
     within a few steps (the preimage-set case) gets the exact-landing
     verdict.  If no limit can be identified within the budget the empirical
     oracle's class is returned.  The oracle reads the walked ratios and walks

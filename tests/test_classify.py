@@ -19,11 +19,13 @@ from ratiodyn.classify import (
     classify_equilibrium_limit,
     classify_remark,
     _Limits,
+    _certify,
     _identify,
     _landing_index,
     _mean_distance,
+    _slope_bound,
 )
-from ratiodyn.cycles import PairingError, find_two_cycles, unit_product_cycle
+from ratiodyn.cycles import PairingError, TwoCycle, find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
@@ -35,7 +37,8 @@ from ratiodyn.outcomes import (
 )
 from ratiodyn.polynomial import real_roots_flagged
 from ratiodyn.ratio_map import (
-    Equilibrium, Parameters, equilibria, fixed_point_poly, phi, phi_prime,
+    Equilibrium, Parameters, critical_points, equilibria, fixed_point_poly, phi,
+    phi_prime,
 )
 from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class
 from ratiodyn.tolerances import EPS_SEARCHED, ROOT_TOL, TAIL_TOL
@@ -496,7 +499,8 @@ def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
         near = [u for u in ulps if lo < u < hi]
         cases.append((p, q, [rng.uniform(lo, hi) for _ in range(8)] + near))
     for p, q, vals in cases:
-        got, want = _mean_distance(vals, (p, q)), two_point_distance(vals, p, q)
+        got = _mean_distance(vals, (p, q), (min(vals), max(vals)))
+        want = two_point_distance(vals, p, q)
         assert got == want or (math.isnan(got) and math.isnan(want)), (p, q, vals)
 
 
@@ -568,13 +572,19 @@ def rooting_calls(monkeypatch, params, x0):
 
 
 def test_each_polynomial_is_rooted_only_where_the_walk_reads_it(monkeypatch):
-    # the tail names an equilibrium above 1: no 2-cycle search
+    # the tail settles on an equilibrium above 1, which the contraction
+    # certificate names: no search at all
     v, calls = rooting_calls(monkeypatch, Parameters(1.0, 1.0, 1.0, 1.0), 1.5)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.a")
-    assert calls == {"equilibria": 1, "find_two_cycles": 0}
-    # the tail names a 2-cycle with p*q > 1: no quartic search
+    assert calls == {"equilibria": 0, "find_two_cycles": 0}
+    # the tail settles on a 2-cycle with p*q > 1, which the certificate names
     v, calls = rooting_calls(monkeypatch, UNIT_CYCLE_EXAMPLE, 3.0)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T2.a")
+    assert calls == {"equilibria": 0, "find_two_cycles": 0}
+    # the tail settles on the unit-product cycle, where the certificate
+    # declines: the tail is matched against the sextic's roots
+    v, calls = rooting_calls(monkeypatch, UNIT_CYCLE_EXAMPLE, 1.3)
+    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_TWO_CYCLE, "T2.c1")
     assert calls == {"equilibria": 0, "find_two_cycles": 1}
     # no settled tail at step 1024: every limit repels, which takes both
     # searches to tell
@@ -598,3 +608,139 @@ def test_an_orbit_that_never_reads_the_cycles_answers_where_their_search_fails()
         find_two_cycles(TINY_A)
     v = classify(TINY_A, 1.0, 1.5)
     assert v == Verdict(DIVERGES_TO_INFINITY, "T1.a", notes="oracle=diverges_to_infinity")
+
+
+# a doubly-neutral set (a + b + c + d = 1, sigma = 1) whose sextic search
+# raises PairingError: the float search misses the partner of a root near 1
+PAIRING_FAILURE = Parameters(
+    0.1621119944408883, 1.2691835051280727, -1.02470299357881, 0.5934074940098492
+)
+
+
+def test_a_certified_cycle_answers_where_the_cycle_search_fails():
+    with pytest.raises(PairingError):
+        find_two_cycles(PAIRING_FAILURE)
+    v = classify(PAIRING_FAILURE, 1.0, 4.15760767439275)
+    assert v == Verdict(DIVERGES_TO_INFINITY, "T2.a", notes="oracle=diverges_to_infinity")
+
+
+def surface_draws(rng, n, sigma):
+    """``n`` (params, x0) draws with a + b + c + d = 1 and sigma = +-1."""
+    out = []
+    while len(out) < n:
+        a, d, x0 = rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.2, 5.0)
+        if sigma > 0:
+            b, c = 1.0 - 2.0 * a + d, a - 2.0 * d
+        else:
+            b, c = 3.0 - 2.0 * a + d, a - 2.0 - 2.0 * d
+        if b > 0.0:
+            out.append((Parameters(a, b, c, d), x0))
+    return out
+
+
+def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
+    rng = random.Random(17)
+    inputs = [
+        (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                    rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0)), rng.uniform(0.2, 5.0))
+        for _ in range(500)
+    ]
+    inputs += [(Parameters(0.1, 1.79, -3.0 + 2.0 * i / 199, 1.0), 1.3) for i in range(200)]
+    inputs += surface_draws(rng, 200, 1) + surface_draws(rng, 200, -1)
+
+    def verdicts():
+        # a short budget keeps the orbits near a neutral limit quick; the
+        # certificate reads only tails, which both runs walk alike
+        out = []
+        for params, x0 in inputs:
+            try:
+                out.append(classify(params, 1.0, x0, budget=2000))
+            except PairingError:
+                out.append(None)
+        return out
+
+    module = sys.modules["ratiodyn.classify"]
+    real, named = module._certify, []
+
+    def counting(det, params):
+        limit = real(det, params)
+        named.append(limit is not None)
+        return limit
+
+    monkeypatch.setattr(module, "_certify", counting)
+    certified = verdicts()
+    # most of these orbits settle on a hyperbolic limit off the unit band
+    assert sum(named) > len(inputs) / 2
+    monkeypatch.setattr(module, "_certify", lambda det, params: None)
+    matched = verdicts()
+    differ = [
+        (inp, v, w) for inp, v, w in zip(inputs, certified, matched)
+        if w is not None and v != w
+    ]
+    assert differ == []
+
+
+def test_slope_bound_covers_phi_prime():
+    rng = random.Random(23)
+    vertex_needed = 0
+    for _ in range(400):
+        params = Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                            rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0))
+        cps = critical_points(params)
+        if cps is not None and rng.random() < 0.5:
+            # from near one critical point of phi to near the other: g is
+            # near 0 at both ends and peaks inside, at its vertex -c / b
+            lo, hi = cps.x_m * rng.uniform(0.98, 1.02), cps.x_M * rng.uniform(0.98, 1.02)
+        else:
+            lo = rng.uniform(0.05, 5.0)
+            hi = lo * rng.uniform(1.0, 1.5)
+        bound = _slope_bound(params, lo, hi)
+        ts = [lo, hi] + [rng.uniform(lo, hi) for _ in range(40)]
+        vertex = -params.c / params.b
+        if lo <= vertex <= hi:
+            ts.append(vertex)
+        steepest = max(abs(phi_prime(params, t)) for t in ts)
+        assert steepest <= bound, (params, lo, hi)
+        # the bound the window's ends alone would give
+        ends = max(abs(phi_prime(params, t) * t ** 4) for t in (lo, hi)) / lo ** 4
+        vertex_needed += steepest > ends
+    assert vertex_needed > 20
+
+
+def test_the_certificate_declines_where_it_proves_nothing():
+    def eq(m):
+        return LimitReport("equilibrium", (m,), 0.0)
+
+    def cyc(p, q):
+        return LimitReport("two_cycle", (p, q), 0.0)
+
+    ones = Parameters(1.0, 1.0, 1.0, 1.0)
+    (e,) = equilibria(ones)
+    named = _certify(eq(e.value), ones)
+    assert isinstance(named, Equilibrium) and named.value == e.value
+    # a tail at or below 0
+    for m in (0.0, -0.5, -e.value):
+        assert _certify(eq(m), ones) is None
+    assert _certify(cyc(-0.5, 2.0), UNIT_CYCLE_EXAMPLE) is None
+    assert _certify(cyc(0.0, 2.0), UNIT_CYCLE_EXAMPLE) is None
+    # Example A's neutral equilibrium at 1
+    assert _certify(eq(1.0), NEUTRAL_EXAMPLE) is None
+    # the unit-product cycle, next to a certified one with p*q > 1
+    unit = unit_product_cycle(UNIT_CYCLE_EXAMPLE)
+    assert _certify(cyc(unit.p, unit.q), UNIT_CYCLE_EXAMPLE) is None
+    attracting, repelling = sorted(
+        (c for c in find_two_cycles(UNIT_CYCLE_EXAMPLE) if c.product > 1.0 + EPS_SEARCHED),
+        key=lambda c: abs(c.multiplier),
+    )
+    named = _certify(cyc(attracting.p, attracting.q), UNIT_CYCLE_EXAMPLE)
+    assert isinstance(named, TwoCycle) and named.p == attracting.p
+    assert named.q == pytest.approx(attracting.q, rel=1e-12)
+    assert _certify(cyc(repelling.p, repelling.q), UNIT_CYCLE_EXAMPLE) is None
+    # windows whose powers overflow or underflow, and parameters so small
+    # that the certificate's products could
+    for m in (1e-300, 1e-90, 1e90, 1e300):
+        assert _certify(eq(m), ones) is None
+    assert _certify(cyc(1e-300, 1e300), ones) is None
+    assert _certify(cyc(0.5, 1e300), ones) is None
+    (t,) = [e for e in equilibria(TINY_A) if e.value > 1.0]
+    assert _certify(eq(t.value), TINY_A) is None
