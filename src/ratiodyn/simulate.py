@@ -60,6 +60,17 @@ _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step
 #: absolute slack, in units of a window's largest |x|, of the log-space
 #: precheck in _stabilized (its proof is there)
 _SETTLE_SLACK = 1e-13
+#: the unit roundoff of a double, in the error bounds of _closed_class
+_U = 2.0 ** -53
+#: _closed_class takes a sign as certain only where |x| times this exceeds
+#: the error bound of x, and scales its lower bounds by it
+_SURE = 1.0 - 32 * _U
+#: the most steps past the known ratios that _closed_class answers for: it
+#: keeps steps * u <= 2^-13, which its bound on the oracle's summation error
+#: needs
+_CLOSED_MAX_STEPS = 2 ** 40
+#: ln 10, for 1 - 10^-G = -expm1(-G ln 10) in _closed_class
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +265,8 @@ def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitRep
 
     Equilibrium: the last TAIL_WINDOW values agree to tol.  2-cycle: even and
     odd tails each agree to tol but sit more than 10 tol apart.  Reported
-    values are tail means; the residual is the phi-closure defect.
+    values are tail means; the residual is the largest distance of a tail
+    value from its tail mean (for a 2-cycle, from the mean of its half).
     """
     vals = traj.values
     if len(vals) < TAIL_WINDOW:
@@ -273,10 +285,14 @@ def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitRep
     return LimitReport(kind="none", values=(), residual=math.inf)
 
 
-def _trend(logs, frac=0.1):
-    k = max(10, int(len(logs) * frac))
-    k = min(k, len(logs) - 1)
-    return logs[-1] - logs[-1 - k]
+def _trend_lag(length):
+    """How many steps back _trend looks in logs of this length: a tenth of
+    them, at least 10."""
+    return min(max(10, int(length * 0.1)), length - 1)
+
+
+def _trend(logs):
+    return logs[-1] - logs[-1 - _trend_lag(len(logs))]
 
 
 def _apart(logs, signs, tol):
@@ -328,6 +344,153 @@ def _stabilized(logs, signs, tol):
     return None
 
 
+def _certain_sign(x, err):
+    """The sign of a value within ``err`` of the float x, or 0 where ``err``
+    leaves it open; |x| _SURE > err also covers the rounding of x itself."""
+    if abs(x) * _SURE <= err:
+        return 0
+    return 1 if x > 0.0 else -1
+
+
+def _closed_class(logs, known, cycle, budget, tol):
+    """The oracle's answer from the checks it has left once its ratios
+    repeat a float cycle, or None where a margin is too thin to tell.
+
+    ``logs`` are empirical_class's log10 |x_n|, up to the step ``done``
+    where its current chunk starts.  ``known`` are the known ratios of that
+    chunk, and every ratio after them repeats ``cycle``, oldest first.  The
+    answer is the one the chunk loop gives: at each chunk end c left, up to
+    ``budget``, the same tests in the same order, decided from the cycle
+    without building the logs.  None is returned at the first test that
+    cannot be decided, and then the loop runs as before.  The signs the
+    tests need follow from the ratios.
+
+    Closed form.  Let i0 be the step of the last known ratio, l0 the
+    loop's log10 |x_i0|, k = len(cycle), L_j = log10 |cycle[j]| (the floats
+    the loop adds) and n = c - i0 >= 1.  The loop's l_c = log10 |x_c| is
+    the float sum, left to right, of l0 and L_(i mod k) for i < n.  With
+    n = q k + r its exact value is S(n) = l0 + q D + P[r], where
+    D = sum L_j and P[r] = L_0 + ... + L_(r-1).  Let u = 2^-53 and
+    A(n) = |l0| + (n/k + 1) |D| + 130 sum |L_j|, which bounds |S(m)| for
+    m <= n and twice any sum of up to 64 consecutive L_j.
+
+    - Each of the loop's additions errs by at most u times its exact
+      result (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+      ed., SIAM 2002, section 4.2), which lies within e of some S(m).  So
+      e = max |l_m - S(m)| over the steps i0 < m <= c is at most
+      n u (A(n) + e), and e <= 2 n u A(n), since n <= _CLOSED_MAX_STEPS
+      keeps n u <= 2^-13.  So every such |l_m| is under 2 A(n).
+    - The float (l0 + q fsum(L)) + H[r], with H the running float sums of
+      L, errs from S(n) by at most 6 u A(n): fsum is correctly rounded,
+      H[r] errs by at most k u sum |L_j| <= u A(n) / 2, and the product
+      and the two sums add a rounding each.
+    - err = (4 n + 256) u A(n) bounds the error of l_c - theta, and of
+      l_c - l_(c - K) with l_(c - K) known exactly at or before i0 or in
+      closed form past it (two errors of at most (2 n + 6) u A(n)), with
+      room for the rounding of err.  A sign is taken as certain where
+      |x| (1 - 32 u) > err (_certain_sign), which covers x's own rounding.
+
+    Tests at each chunk end c, in the loop's order.
+
+    - lm > THETA_UP and _trend > 0, then lm < THETA_DOWN and _trend < 0.
+      The float a - b has the sign of a - b, so _trend's sign is that of
+      l_c - l_(c - K), K = _trend_lag(c + 1).  A test whose outcome is
+      open returns None; the second cannot fire where the first is open,
+      since both read the same sign of _trend.
+    - _stabilized, from c = 2 TAIL_WINDOW - 1 on, is certified to return
+      None through _apart, whose g must then exceed
+      thr = 2 tol + _SETTLE_SLACK.  Its g is within 16 u of
+      |s_c 10^(l_c - top) - s_(c-2) 10^(l_(c-2) - top)|, with top the
+      largest l over the window c - 63 .. c: each power is at most 1 and
+      errs by 4 u from pow (as _apart's proof takes it) and 0.4 u from its
+      rounded exponent, and their difference adds a rounding of at most
+      2.1 u.  That is at least 10^-Y
+      where x_c and x_(c-2) differ in sign, and 10^-Y (1 - 10^-G) where
+      they agree, for any Y >= top - l_c and G <= |l_c - l_(c-2)|
+      (x - 1 >= 1 - 1/x for x >= 1).  Their signs agree where the ratios at
+      c and c - 1 have one sign.  Between i0 and c the loop's l_c - l_(c-j)
+      is the exact sum B_j of the last j cycle logs up to j roundings of
+      at most 2 u A(n) each; the float B_j adds at most 32 u A(n) more.  So
+      Y = max_j (-B_j) + 256 u A(n) over j < 64: a per-phase maximum of
+      partial sums, the same for every c with one n mod k.  Where the
+      window reaches back to i0 the known logs l_m join in, as
+      (l_m - l0) - B_n, with |max l_m - l0| added to A(n) to cover the
+      rounding of that difference.  G = |L + L'| (1 - 32 u) - 4 u A(n)
+      for the two cycle logs that end at c, off from l_c - l_(c-2) by the
+      loop's two roundings.  The float 10^-Y (1 - 10^-G) (1 - 32 u) errs
+      low, pow and expm1 erring by a few ulps, so g > thr where it
+      exceeds thr + 16 u.
+
+    If every test passes through ``budget``, the answer is UNDETERMINED.
+    """
+    done = len(logs) - 1
+    try:
+        # summed left to right from logs[done], as the loop sums them
+        prior = [*accumulate(map(math.log10, map(abs, known)), initial=logs[-1])]
+    except ValueError:
+        return None
+    l0 = prior[-1]
+    i0 = done + len(known)
+    if not math.isfinite(l0) or budget - i0 > _CLOSED_MAX_STEPS:
+        return None
+    k = len(cycle)
+    steps = [math.log10(abs(t)) for t in cycle]
+    drift = math.fsum(steps)
+    heads = [*accumulate(steps, initial=0.0)]
+    size = 130 * math.fsum(map(abs, steps))
+    # the cycle's logs newest first, long enough for a window from any phase
+    back = steps[::-1] * (TAIL_WINDOW // k + 2)
+    windows = {}  # n mod k -> (max_j -B_j, |L + L'|, whether x_c, x_(c-2) share a sign)
+    thr = 2.0 * tol + _SETTLE_SLACK
+
+    def log_at(n):
+        """l_(i0 + n): known exactly for n <= 0, in closed form past it."""
+        if n <= 0:
+            m = i0 + n
+            return logs[m] if m <= done else prior[m - done]
+        q, r = divmod(n, k)
+        return l0 + q * drift + heads[r]
+
+    for c in [*range(done + ORACLE_CHUNK, budget, ORACLE_CHUNK), budget]:
+        n = c - i0
+        scale = abs(l0) + (n / k + 1) * abs(drift) + size
+        err = (4 * n + 256) * _U * scale
+        lm = log_at(n)
+        rise = _certain_sign(lm - log_at(n - _trend_lag(c + 1)), err)
+        high = _certain_sign(lm - THETA_UP, err)
+        if high > 0 and rise > 0:
+            return DIVERGES_TO_INFINITY
+        low = _certain_sign(lm - THETA_DOWN, err)
+        if low < 0 and rise < 0:
+            return CONVERGES_TO_ZERO
+        if not ((high < 0 or rise < 0) and (low > 0 or rise > 0)):
+            return None
+        if c + 1 < 2 * TAIL_WINDOW:
+            continue
+        phase = n % k
+        window = windows.get(phase) if n >= TAIL_WINDOW else None
+        if window is None:
+            sums = [*accumulate(back[k - phase :][: min(n, TAIL_WINDOW - 1)], initial=0.0)]
+            a, b = (phase - 1) % k, (phase - 2) % k
+            window = (-min(sums), abs(steps[a] + steps[b]), (cycle[a] < 0.0) == (cycle[b] < 0.0))
+            if n >= TAIL_WINDOW:
+                windows[phase] = window
+            else:  # the window reaches back to step i0: its known logs join in
+                known_top = max(map(log_at, range(n - TAIL_WINDOW + 1, 1))) - l0
+                scale += abs(known_top)
+                window = (max(window[0], known_top - sums[-1]), *window[1:])
+        drop, pair, same = window  # drop: how far l_c lies below the window's top
+        apart = 1.0
+        if same:
+            dist = pair * _SURE - 4 * _U * scale
+            if dist <= 0.0:
+                return None
+            apart = -math.expm1(-dist * _LN10)
+        if not 10.0 ** -(drop + 256 * _U * scale) * apart * _SURE - 16 * _U > thr:
+            return None
+    return UNDETERMINED
+
+
 def empirical_class(
     params: Parameters,
     x_minus1: float,
@@ -352,7 +515,12 @@ def empirical_class(
     Every ratio past them comes from ``walk_on``, as in ``classify``: a
     float cycle the ratios close on is replayed, and its log10 |t| summed in
     the same order.  A check that the last values cannot pass (``_apart``)
-    is skipped.  Neither changes an answer.
+    is skipped.  Once the ratios past the known ones repeat a float cycle,
+    the checks left are decided from the cycle's k ratios (_closed_class):
+    log10 |x_n| gains the cycle's sum of log10 |t| every k steps, and each
+    check is answered in closed form with a proven margin for the rounding
+    of the sums it replaces.  Where a margin is too thin, the chunks are
+    summed and checked as before.  None of these changes an answer.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -373,7 +541,13 @@ def empirical_class(
         steps = None  # log10 |t| of each ratio, when the cycle's are at hand
         stopped = False
         if len(ratios) < n:
+            closing = k is None
             more, k, stopped = walk_on(params, walked, n - len(ratios), k)
+            if k and closing:
+                # every ratio past ``ratios`` repeats the cycle walked[-k:]
+                verdict = _closed_class(logs, ratios, walked[-k:], budget, tol)
+                if verdict is not None:
+                    return verdict
             if k and not ratios:  # a chunk replayed whole: its log10 |t| repeat with the cycle
                 cycle_logs = [math.log10(abs(r)) for r in walked[-k:]]
                 steps = (cycle_logs * (n // k + 1))[:n]
@@ -389,6 +563,8 @@ def empirical_class(
         if not math.isfinite(logs[-1]):
             # a sum that left the finite floats never returns; the first one decides
             lost = next(lm for lm in logs[start:] if not math.isfinite(lm))
+            if math.isnan(lost):  # a ratio that is not a number tells nothing
+                return UNDETERMINED
             return DIVERGES_TO_INFINITY if lost > 0 else CONVERGES_TO_ZERO
         if stopped:
             return ITERATION_STOPS

@@ -315,6 +315,19 @@ def test_walk_stops_at_a_ratio_that_is_not_finite(monkeypatch):
     assert steps <= 64
 
 
+def test_a_ratio_that_is_not_a_number_leaves_the_oracle_undetermined():
+    # the first step overflows both the numerator and t^3, so the ratio is
+    # inf / inf = nan: log10 |x_1| is nan, which tells no trend (it once
+    # read as vanishing)
+    undetermined = Verdict(UNDETERMINED, "oracle", notes="no ratio limit identified within budget")
+    ones = Parameters(1.0, 1.0, 1.0, 1.0)
+    for params, x0 in [(NEUTRAL_EXAMPLE, 1e200), (ones, 1e104), (ones, 1e200)]:
+        assert classify(params, 1.0, x0) == undetermined, (params, x0)
+    # from a start that does not overflow, the same set diverges
+    v = classify(ones, 1.0, 2.0)
+    assert v == Verdict(DIVERGES_TO_INFINITY, "T1.a", notes="oracle=diverges_to_infinity")
+
+
 def test_walk_stops_early_on_a_geometric_approach(monkeypatch):
     v, steps = walked_steps(monkeypatch, UNIT_CYCLE_EXAMPLE, 3.0)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T2.a")

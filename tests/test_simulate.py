@@ -1,14 +1,20 @@
 import math
+import random
 import sys
 from array import array
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ratiodyn.classify import classify
+from ratiodyn.cycles import PairingError
 from ratiodyn.outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
+    CONVERGES_TO_ZERO,
     DIVERGES_TO_INFINITY,
     ITERATION_STOPS,
     UNDETERMINED,
@@ -203,6 +209,16 @@ def test_empirical_zero_guard_stops():
     # not exist
     assert empirical_class(ZERO_RATIO, 1.0, 1.0) == ITERATION_STOPS
     assert empirical_class(ZERO_RATIO, 1.0, 1.0, values=[1.0, 0.0]) == ITERATION_STOPS
+
+
+def test_empirical_reads_no_trend_from_a_ratio_that_is_not_a_number():
+    # x0 = 1e200 overflows the numerator and t^3 alike: the first ratio is
+    # inf / inf = nan, and so is log10 |x_1|
+    assert math.isnan(iterate_ratio(NEUTRAL_EXAMPLE, 1e200, 1).values[1])
+    assert empirical_class(NEUTRAL_EXAMPLE, 1.0, 1e200) == UNDETERMINED
+    # a ratio that overflows to inf still reads as divergence
+    assert iterate_ratio(NEUTRAL_EXAMPLE, 1e-105, 1).values[1] == math.inf
+    assert empirical_class(NEUTRAL_EXAMPLE, 1.0, 1e-105) == DIVERGES_TO_INFINITY
 
 
 # starts the walk cannot take: not finite, or a t_0 = x0 / x_minus1 that
@@ -416,10 +432,144 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
 
     monkeypatch.setattr(module, "_stabilized", recording)
     monkeypatch.setattr(module, "closed_period", spy)
+    # the closed form decides past the cycle without calling _stabilized,
+    # so only its answers are compared; the chunk loop's trace is compared
+    # with the closed form declined
+    live = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
+    monkeypatch.setattr(module, "_closed_class", lambda *args: None)
     replayed = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
+    assert {k for k in periods if k} == {k for _, _, k in LONG_REPLAYS}
     monkeypatch.setattr(module, "closed_period", lambda ratios: None)
     assert [answers(params, x0) for params, x0, _ in LONG_REPLAYS] == replayed
-    assert {k for k in periods if k} == {k for _, _, k in LONG_REPLAYS}
+    assert [[a for a, _ in out] for out in live] == [[a for a, _ in out] for out in replayed]
+
+
+def box_draws(rng, n):
+    """``n`` (params, x0) draws from the fuzz box of the benchmark."""
+    return [
+        (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                    rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0)), rng.uniform(0.2, 5.0))
+        for _ in range(n)
+    ]
+
+
+def test_the_closed_form_answers_as_the_chunk_loop(monkeypatch):
+    module = sys.modules["ratiodyn.simulate"]
+    closed_class = module._closed_class
+    closed = []  # what each call of the closed form answered
+
+    def spy(*args):
+        closed.append(closed_class(*args))
+        return closed[-1]
+
+    def both(*args, **kwargs):
+        """The oracle's answer with the closed form live, once it equals
+        the chunk loop's."""
+        monkeypatch.setattr(module, "_closed_class", spy)
+        live = empirical_class(*args, **kwargs)
+        monkeypatch.setattr(module, "_closed_class", lambda *args: None)
+        assert empirical_class(*args, **kwargs) == live, args
+        return live
+
+    # the oracle calls of classify, with the ratios its walk hands over
+    monkeypatch.setattr(sys.modules["ratiodyn.classify"], "empirical_class", both)
+    for tol in (1e-8, 1e-9):
+        for i in range(200):
+            classify(Parameters(0.1, 1.79, -3.0 + 2.0 * i / 199, 1.0), 1.0, 1.3, tol=tol)
+    for params, x0 in box_draws(random.Random(23), 500):
+        try:
+            classify(params, 1.0, x0)
+        except PairingError:
+            pass
+    # other starts, budgets with a short last chunk, and prefixes that end
+    # before the cycle closes, inside an oracle chunk after that, and on a
+    # chunk boundary
+    for params, x0, _ in LONG_REPLAYS:
+        walk = iterate_ratio(params, x0, 3000).values
+        starts = [(1.0, x0, None), (2.0, 2.0 * x0, None), (-1.0, -x0, None), (1.0, -x0, None)]
+        starts += [(1.0, x0, walk[:k]) for k in (20, 2500, 2561)]
+        for xm1, y0, values in starts:
+            for budget, tol in [(1000, 0.0), (5000, 1e-15), (20001, 1e-6), (100000, 1e-8)]:
+                both(params, xm1, y0, budget, tol, values=values)
+    decided = [answer for answer in closed if answer is not None]
+    assert 2 * len(decided) > len(closed)
+    assert {CONVERGES_TO_ZERO, DIVERGES_TO_INFINITY, UNDETERMINED} <= set(decided)
+
+    # a set whose orbit closes on a float equilibrium below 1 within the
+    # 128 steps classify walks (T1.b): the closed form reads the drift down
+    closed.clear()
+    params = Parameters(1.8735548947633112, 1.2325292611871794, -4.712512640018497, 2.5034530814965654)
+    v = classify(params, 1.0, 2.5525424378480763)
+    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "T1.b")
+    assert closed == [CONVERGES_TO_ZERO]
+    # a unit-product cycle (T2.c1): the float orbit closes at step 694 on a
+    # cycle whose product is 1 to within a rounding, so no drift shows; the
+    # closed form declines and the chunk loop sees the tail settle
+    closed.clear()
+    walk = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 700).values
+    assert closed_period(walk) == 2
+    assert both(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 20000, 1e-12, values=walk) == CONVERGES_TO_TWO_CYCLE
+    assert closed == [None]
+
+
+@st.composite
+def closed_walks(draw):
+    """(values, budget, tol): ratios from t_0 = x_0 whose tail repeats a
+    float cycle of 1 to 8 distinct ratios, of mixed signs, whose log10 |t|
+    sum to a drift per cycle from 0 to 0.1 decades.  x_0 starts anywhere
+    from 1e-14 to 1e14, so that some orbits sit near THETA_UP or
+    THETA_DOWN.  A walk that closed repeats its cycle whatever the map, so
+    the oracle never applies one here."""
+    k = draw(st.integers(1, 8))
+    logs = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    drift = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
+    logs[-1] = -math.fsum(logs[:-1]) + drift * draw(st.sampled_from([-1.0, 1.0]))
+    cycle = [draw(st.sampled_from([1.0, -1.0])) * 10.0 ** e for e in logs]
+    assume(len(set(cycle)) == k)
+    start = [10.0 ** draw(st.floats(-14.0, 14.0))]
+    start += draw(st.lists(st.floats(0.1, 10.0), max_size=300))
+    # the cycle closes, and the known ratios end anywhere in an oracle chunk
+    values = start + cycle * draw(st.integers(2, 40)) + cycle[: draw(st.integers(0, k - 1))]
+    budget = draw(st.sampled_from([1000, 1299, 5000, 20001]))
+    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]))
+    return values, budget, tol
+
+
+@given(closed_walks())
+@settings(max_examples=300, deadline=None)
+def test_the_closed_form_answers_as_the_chunk_loop_near_its_margins(walk):
+    values, budget, tol = walk
+    module = sys.modules["ratiodyn.simulate"]
+    live = empirical_class(None, 1.0, values[0], budget, tol, values=values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_closed_class", lambda *args: None)
+        assert empirical_class(None, 1.0, values[0], budget, tol, values=values) == live
+
+
+def test_the_chunk_loop_sums_within_the_closed_form_bound():
+    """The bound _closed_class reads: past a closed float cycle, the loop's
+    float log10 |x_c| lies within 2 n u A(n) of the exact closed form, and
+    the float closed form within 6 u A(n) of it."""
+    u = Fraction(1, 2**53)
+    for params, x0, k in LONG_REPLAYS:
+        walk = iterate_ratio(params, x0, 20000).values
+        logs = iterate_solution(params, 1.0, x0, 20000).log_magnitudes[1:]
+        i0 = next(i for i in range(2, len(walk)) if closed_period(walk[: i + 1]))
+        cycle = walk[i0 - k + 1 : i0 + 1]
+        assert closed_period(walk[: i0 + 1]) == k and walk[i0 + 1 : i0 + 1 + k] == cycle
+        steps = [math.log10(abs(t)) for t in cycle]
+        drift = sum(map(Fraction, steps))
+        size = sum(abs(Fraction(s)) for s in steps)
+        heads = [sum(map(Fraction, steps[:r])) for r in range(k)]
+        running = [*accumulate(steps, initial=0.0)]
+        for c in range(256 * (i0 // 256 + 1), len(logs), 256):
+            n = c - i0
+            q, r = divmod(n, k)
+            exact = Fraction(logs[i0]) + q * drift + heads[r]
+            bound = abs(Fraction(logs[i0])) + (Fraction(n, k) + 1) * abs(drift) + 130 * size
+            assert abs(Fraction(logs[c]) - exact) <= 2 * n * u * bound, (k, c)
+            closed = logs[i0] + q * math.fsum(steps) + running[r]
+            assert abs(Fraction(closed) - exact) <= 6 * u * bound, (k, c)
 
 
 def window_from(xs):
