@@ -82,6 +82,10 @@ CHUNK = 1024
 #: a detected tail names a known equilibrium or 2-cycle within this relative
 #: distance
 MATCH_TOL = 1e-3
+#: _proximity_identify skips a walk whose quarters replay a closed float
+#: cycle at least this many whole periods each: m / (m + 1) >= 21/22 then
+#: keeps the late quarter's mean distance above 0.95 times the early one's
+_WHOLE_PERIODS = 21
 
 # the contraction certificate's rounding (see _certify): u = 2^-53 is the
 # unit roundoff of a double, _PAD the pad on a float evaluation per unit of
@@ -531,27 +535,87 @@ def _mean_distance(vals, pts, span=None):
     return sum(map(min, *dists) if len(dists) > 1 else dists[0]) / len(vals)
 
 
-def _proximity_identify(values, eqs, cycles):
+def _spans_rule_out(late, early, pts, scale, pad):
+    """Whether the least and largest values of the late and early quarters
+    (``late`` and ``early``) show that _proximity_identify's float tests
+    fail for the limit at ``pts`` (see there)."""
+    near = min(max(late[0] - v, v - late[1], 0.0) for v in pts) * (1.0 - pad)
+    far = min(max(abs(early[0] - v), abs(early[1] - v)) for v in pts)
+    return near >= 0.02 * scale or near > 0.95 * far * (1.0 + pad)
+
+
+def _replay_rules_out(values, closed, quarter, points):
+    """Whether a closed float cycle alone shows that the late quarter's
+    mean distance cannot fall 5% below the early one's, for every limit
+    point in ``points`` (see _proximity_identify)."""
+    since, k = closed
+    return (
+        since <= len(values) - 2 * quarter
+        and quarter // k >= _WHOLE_PERIODS
+        and not any(t == v for t in values[-k:] for v in points)
+    )
+
+
+def _proximity_identify(values, eqs, cycles, closed=None):
     """Identify a slowly-approached limit by shrinking distance to a known
     attractor; used when the tail-spread detector has not converged yet
-    (neutral multipliers approach their limit only polynomially fast)."""
+    (neutral multipliers approach their limit only polynomially fast).
+
+    A limit is named where e_late < 0.02 scale and e_late <= 0.95 e_early,
+    the float mean distances of the last and the second-to-last quarter of
+    the walk.  Two shortcuts skip the mean distances where those tests
+    must fail, and so change no answer.
+
+    - ``closed`` is (since, k) where the walk closed on a float cycle of
+      period k, so that values[i + k] == values[i] from i = since on.
+      Where that holds over both quarters, each holds m >= _WHOLE_PERIODS
+      whole periods and fewer than k values more, so its exact sum of
+      float distances lies between m S and (m + 1) S, with S the sum over
+      one period.  S > 0 where no cycle value is a limit point, since a
+      float difference is 0 only between equal floats.  So
+      e_late >= (m / (m + 1)) e_early up to the sums' roundings, and
+      21/22 = 0.9545 exceeds 0.95 by more than those can move it: no limit
+      is named, and the pass is skipped.
+    - Each quarter's least and largest values bound every float distance
+      in it, since rounding is monotone: over the late quarter each is at
+      least ``near``, the float distance of the end nearer to the limit
+      (0 where the limit lies between them), and over the early quarter at
+      most ``far``, the larger of the ends' distances to one point.  A
+      float sum of Q terms of one sign lies within (Q - 1) u / (1 - (Q - 1) u)
+      of the exact sum (u = 2^-53; Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2, and CPython's
+      compensated sum errs less), and the division adds a rounding.  So
+      with pad = 4 (n + 4) u, which covers those and the roundings of the
+      tests below: near (1 - pad) >= 0.02 scale in floats means the first
+      test fails, and near (1 - pad) > 0.95 far (1 + pad) that the second
+      does (_spans_rule_out).  A nan among the values, or an inf in the
+      late quarter, fails the tests in any case; an inf in the early
+      quarter makes ``far`` infinite, which no ``near`` exceeds.
+
+    Both proofs take n u <= 2^-20, which any walk of under 8e9 ratios
+    meets, so that the factors (1 +- k u) they use stay close to 1.
+    """
     n = len(values)
     if n < 64:
         return None
     quarter = n // 4
     early = values[n - 2 * quarter : n - quarter]
     late = values[n - quarter :]
+    limits = [(e, (e.value,)) for e in eqs] + [(c, (c.p, c.q)) for c in cycles]
+    if closed is not None and _replay_rules_out(
+        values, closed, quarter, [v for _, pts in limits for v in pts]
+    ):
+        return None
 
-    # each 2-cycle reads a quarter's least and largest value: take them once
-    early_span, late_span = (
-        [(min(v), max(v)) for v in (early, late)] if cycles else (None, None)
-    )
+    # every limit reads each quarter's least and largest value: take them once
+    early_span, late_span = [(min(v), max(v)) for v in (early, late)]
+    pad = 4 * (n + 4) * _U
 
     best = None
-    for obj, pts in [(e, (e.value,)) for e in eqs] + [
-        (c, (c.p, c.q)) for c in cycles
-    ]:
+    for obj, pts in limits:
         scale = max(1.0, max(abs(v) for v in pts))
+        if _spans_rule_out(late_span, early_span, pts, scale, pad):
+            continue
         e_late = _mean_distance(late, pts, late_span)
         if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts, early_span):
             if best is None or e_late / scale < best[1]:
@@ -611,10 +675,13 @@ def classify(
     values = array("d", [t])
     done = 0
     k = None  # the period of the float cycle the ratios closed on, once they have
+    closed = None  # (the step from which the ratios repeat, k), once they do
     eq = cyc = None
     while done < budget:
         n = min(max(done, FIRST_CHECK), CHUNK, budget - done)
         chunk, k, stopped = walk_on(params, values, n, k)
+        if k and closed is None:
+            closed = (len(values) - 1 - k, k)
         values += array("d", chunk)  # from a list as fast as fromlist, an array by memcpy
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
@@ -637,7 +704,7 @@ def classify(
             break
 
     if det.kind == "none" and limits.candidate():
-        hit = _proximity_identify(values, limits.eqs(), limits.cycles())
+        hit = _proximity_identify(values, limits.eqs(), limits.cycles(), closed)
         if isinstance(hit, Equilibrium):
             eq = hit
         elif isinstance(hit, TwoCycle):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, chain, islice, takewhile
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -71,6 +71,10 @@ _SURE = 1.0 - 32 * _U
 _CLOSED_MAX_STEPS = 2 ** 40
 #: ln 10, for 1 - 10^-G = -expm1(-G ln 10) in _closed_class
 _LN10 = math.log(10.0)
+#: _first_open_chunk decides a chunk only where every |t| in it lies in
+#: [1 / _MODERATE, _MODERATE]: then no partial product of up to
+#: ORACLE_CHUNK = 256 of them leaves the normal floats (256 * 3.9 < 1022)
+_MODERATE = 2.0 ** 3.9
 
 
 @dataclass(frozen=True)
@@ -256,8 +260,17 @@ def iterate_solution(
 
 
 def _spread_ok(tail, tol):
+    """Whether ``tail`` spreads by at most tol relative, its mean m, and
+    the largest distance of a value from m.
+
+    That distance is max(hi - m, m - lo) for the least and largest values
+    lo and hi, the same float as the largest |v - m| over a finite tail:
+    rounding is monotone, so fl(v - m) is largest at v = hi and smallest at
+    v = lo, and it is symmetric, so fl(m - v) = -fl(v - m).
+    """
     m = sum(tail) / len(tail)
-    return (max(tail) - min(tail)) <= tol * max(1.0, abs(m)), m
+    lo, hi = min(tail), max(tail)
+    return (hi - lo) <= tol * max(1.0, abs(m)), m, max(hi - m, m - lo)
 
 
 def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitReport:
@@ -272,16 +285,14 @@ def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitRep
     if len(vals) < TAIL_WINDOW:
         return LimitReport(kind="none", values=(), residual=math.inf)
     tail = vals[-TAIL_WINDOW:]
-    ok, m = _spread_ok(tail, tol)
+    ok, m, res = _spread_ok(tail, tol)
     if ok:
-        return LimitReport(kind="equilibrium", values=(m,), residual=max(abs(v - m) for v in tail))
-    even, odd = tail[0::2], tail[1::2]
-    ok_e, me = _spread_ok(even, tol)
-    ok_o, mo = _spread_ok(odd, tol)
+        return LimitReport(kind="equilibrium", values=(m,), residual=res)
+    ok_e, me, res_e = _spread_ok(tail[0::2], tol)
+    ok_o, mo, res_o = _spread_ok(tail[1::2], tol)
     if ok_e and ok_o and abs(me - mo) > 10.0 * tol * max(1.0, abs(me), abs(mo)):
         lo, hi = sorted((me, mo))
-        res = max(max(abs(v - me) for v in even), max(abs(v - mo) for v in odd))
-        return LimitReport(kind="two_cycle", values=(lo, hi), residual=res)
+        return LimitReport(kind="two_cycle", values=(lo, hi), residual=max(res_e, res_o))
     return LimitReport(kind="none", values=(), residual=math.inf)
 
 
@@ -352,6 +363,17 @@ def _certain_sign(x, err):
     return 1 if x > 0.0 else -1
 
 
+def _surely_apart(scale, gap, tol):
+    """Whether _apart's test passes for sure at a chunk end c, given floats
+    within a few ulps of lower bounds on 10^(l_c - top) (``scale``) and on
+    |1 - x_(c-2) / x_c| (``gap``), both taken in the loop's float logs l.
+
+    The g of _apart is within 16 u of their product (see _closed_class),
+    and _SURE = 1 - 32 u covers those few ulps and the product's roundings.
+    """
+    return scale * gap * _SURE - 16 * _U > 2.0 * tol + _SETTLE_SLACK
+
+
 def _closed_class(logs, known, cycle, budget, tol):
     """The oracle's answer from the checks it has left once its ratios
     repeat a float cycle, or None where a margin is too thin to tell.
@@ -419,7 +441,7 @@ def _closed_class(logs, known, cycle, budget, tol):
       for the two cycle logs that end at c, off from l_c - l_(c-2) by the
       loop's two roundings.  The float 10^-Y (1 - 10^-G) (1 - 32 u) errs
       low, pow and expm1 erring by a few ulps, so g > thr where it
-      exceeds thr + 16 u.
+      exceeds thr + 16 u (_surely_apart).
 
     If every test passes through ``budget``, the answer is UNDETERMINED.
     """
@@ -441,7 +463,6 @@ def _closed_class(logs, known, cycle, budget, tol):
     # the cycle's logs newest first, long enough for a window from any phase
     back = steps[::-1] * (TAIL_WINDOW // k + 2)
     windows = {}  # n mod k -> (max_j -B_j, |L + L'|, whether x_c, x_(c-2) share a sign)
-    thr = 2.0 * tol + _SETTLE_SLACK
 
     def log_at(n):
         """l_(i0 + n): known exactly for n <= 0, in closed form past it."""
@@ -451,7 +472,7 @@ def _closed_class(logs, known, cycle, budget, tol):
         q, r = divmod(n, k)
         return l0 + q * drift + heads[r]
 
-    for c in [*range(done + ORACLE_CHUNK, budget, ORACLE_CHUNK), budget]:
+    for c in chain(range(done + ORACLE_CHUNK, budget, ORACLE_CHUNK), (budget,)):
         n = c - i0
         scale = abs(l0) + (n / k + 1) * abs(drift) + size
         err = (4 * n + 256) * _U * scale
@@ -486,9 +507,76 @@ def _closed_class(logs, known, cycle, budget, tol):
             if dist <= 0.0:
                 return None
             apart = -math.expm1(-dist * _LN10)
-        if not 10.0 ** -(drop + 256 * _U * scale) * apart * _SURE - 16 * _U > thr:
+        if not _surely_apart(10.0 ** -(drop + 256 * _U * scale), apart, tol):
             return None
     return UNDETERMINED
+
+
+def _first_open_chunk(values, budget, tol, lm):
+    """The step where the first oracle chunk starts whose checks the chunk
+    products cannot decide, or ``budget`` where they decide every one.
+
+    ``values`` are the walk's ratios, t_0 first, through step ``budget``
+    at least, and ``lm`` is log10 |x_0|.  At each chunk end c the chunk
+    loop of empirical_class tests lm > THETA_UP, lm < THETA_DOWN and
+    _stabilized.  A chunk counts as decided where none of them can answer:
+    the loop then only extends its logs and signs, which are rebuilt where
+    it takes over.
+
+    Let u = 2^-53, l_m the loop's float log10 |x_m|, and take math.log10
+    to within 4 ulps, |fl(log10 y) - log10 y| <= 8 u |log10 y|, as _apart
+    takes pow.  The estimate l of l_c starts at the loop's own l_0 and
+    adds fl(log10 |P|), P = math.prod(chunk), per chunk.
+
+    - A finite nonzero P means every ratio of the chunk is a finite
+      nonzero float.  The chunk is decided only where every |t| lies in
+      [1 / _MODERATE, _MODERATE], so |log10 |t|| < 1.175 and the sum of
+      those of one chunk is under 302, and no partial product of its at
+      most 256 ratios leaves the normal floats: P is the exact product up
+      to a factor (1 + theta), |theta| <= 256 u.
+    - Per chunk the loop's 256 or fewer additions err by at most
+      u (|l_done| + 302) each (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2), and its
+      logs by 8 u 1.175 each.  The estimate errs by at most 112 u from
+      theta, 8 u 302 from log10 and u (|l| + 302) from its addition.  So
+      err grows by u (260 (|l| + err) + 2^17) per chunk, which also covers
+      the rounding of err itself.
+    - Where l - THETA_UP and l - THETA_DOWN have a certain sign within err
+      (_certain_sign), -12 < l_c < 12 and neither THETA test fires.
+    - _apart passes where g exceeds 2 tol + _SETTLE_SLACK (_surely_apart).
+      Every ratio up to c passed the guard, and |l_c| < 12, so the window's
+      logs stay under 86 in size, and l_c - l_j differs from the exact sum
+      of the log10 |t| in between by at most 96 u per step: 6048 u over
+      the window's 63 ratios, 192 u over the last two.  With m the least
+      |t| of those 63, 10^(l_c - top) >= min(1, m)^63 (1 - 13,926 u),
+      which the float pow times (1 - 2^14 u) stays below.  With
+      r = 1 / (t_c t_(c-1)), |r| < 223, |1 - x_(c-2)/x_c| is
+      |1 - r 10^-eta| for |eta| <= 192 u, at least |1 - r| - 99,400 u; the
+      float |1 - r| errs by at most 674 u, so it stays above that less
+      2^17 u, even after that subtraction's rounding.
+    """
+    err = 0.0
+    for done in range(0, budget, ORACLE_CHUNK):
+        c = min(done + ORACLE_CHUNK, budget)
+        chunk = values[done + 1 : c + 1]
+        p = math.prod(chunk)
+        if not 0.0 < abs(p) < math.inf:
+            return done
+        err += (260 * (abs(lm) + err) + 2 ** 17) * _U
+        lm += math.log10(abs(p))
+        if not _certain_sign(lm - THETA_UP, err) < 0 < _certain_sign(lm - THETA_DOWN, err):
+            return done
+        lo, hi = min(chunk), max(chunk)
+        if lo < 0.0:  # else every ratio is positive: these bound |t| too
+            lo, hi = min(map(abs, chunk)), max(map(abs, chunk))
+        if not (1.0 / _MODERATE <= lo and hi <= _MODERATE):
+            return done
+        least = min(map(abs, values[c - TAIL_WINDOW + 2 : c + 1]))
+        scale = min(1.0, least) ** (TAIL_WINDOW - 1) * (1.0 - 2 ** 14 * _U)
+        gap = abs(1.0 - 1.0 / (values[c] * values[c - 1])) - 2 ** 17 * _U
+        if not _surely_apart(scale, gap, tol):
+            return done
+    return budget
 
 
 def empirical_class(
@@ -520,7 +608,16 @@ def empirical_class(
     log10 |x_n| gains the cycle's sum of log10 |t| every k steps, and each
     check is answered in closed form with a proven margin for the rounding
     of the sums it replaces.  Where a margin is too thin, the chunks are
-    summed and checked as before.  None of these changes an answer.
+    summed and checked as before.
+
+    Where ``values`` cover the whole budget, as for a walk of ``classify``
+    that never settled, the chunks are read first from their products
+    alone (_first_open_chunk): a chunk counts as decided where log10 |x_n|,
+    known within a proven bound from the products so far, stays inside
+    (THETA_DOWN, THETA_UP), and the last two ratios and the least of the
+    last 63 prove that ``_apart`` passes.  At the first chunk they cannot
+    decide, the logs and signs up to it are summed as the loop sums them,
+    and the loop runs from there.  None of these changes an answer.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -534,7 +631,18 @@ def empirical_class(
     # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
     logs = array("d", [math.log10(abs(x0))])
     signs = array("b", [1 if x0 > 0 else -1])
-    for done in range(0, budget, ORACLE_CHUNK):
+    start = 0
+    if len(values) > budget:
+        # the walk covers the budget: chunk products decide the quiet chunks,
+        # and the loop takes over, with its own logs and signs, at the first
+        # chunk they cannot decide
+        start = _first_open_chunk(values, budget, tol, logs[0])
+        if start == budget:
+            return UNDETERMINED
+        known = values[1 : start + 1]
+        logs.fromlist([*accumulate(map(math.log10, map(abs, known)), initial=logs.pop())])
+        signs = array("b", _signs(signs[0], known))
+    for done in range(start, budget, ORACLE_CHUNK):
         n = min(ORACLE_CHUNK, budget - done)
         # a slice, not a copy of the whole walk; the walk goes on past its end
         ratios = values[done + 1 : done + 1 + n]

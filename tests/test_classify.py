@@ -757,3 +757,81 @@ def test_the_certificate_declines_where_it_proves_nothing():
     assert _certify(cyc(0.5, 1e300), ones) is None
     (t,) = [e for e in equilibria(TINY_A) if e.value > 1.0]
     assert _certify(eq(t.value), TINY_A) is None
+
+
+# seed-0 box sets whose orbits close on a float cycle of period 4 to 16 that
+# never settles, with a non-repelling limit: classify replays the cycle to
+# the end of its budget
+CLOSED_WALKS = [
+    (Parameters(0.15007949100110524, 2.316318775601144, -3.619437991286077, 1.5931125305073466),
+     2.7216527001861324),
+    (Parameters(0.08571340087990507, 2.1409924880822073, -2.4810147676224688, 0.8463792722325765),
+     2.662027708067217),
+]
+
+
+def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeypatch):
+    """The oracle's chunk products (simulate._first_open_chunk) and the
+    proximity pass's two skips give, call by call, the answers of the
+    passes they skip, on the calls classify makes."""
+    sim, module = sys.modules["ratiodyn.simulate"], sys.modules["ratiodyn.classify"]
+    oracle, proximity = module.empirical_class, module._proximity_identify
+    first_open = sim._first_open_chunk
+    opened, fired = [], {"_spans_rule_out": 0, "_replay_rules_out": 0}
+
+    def spying(name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            out = real(*args)
+            fired[name] += out
+            return out
+        return spy
+
+    def opening(values, budget, tol, lm):
+        opened.append((first_open(values, budget, tol, lm), budget))
+        return opened[-1][0]
+
+    def both_oracles(*args, **kwargs):
+        monkeypatch.setattr(sim, "_first_open_chunk", opening)
+        live = oracle(*args, **kwargs)
+        monkeypatch.setattr(sim, "_first_open_chunk", lambda values, budget, tol, lm: 0)
+        assert oracle(*args, **kwargs) == live, args
+        return live
+
+    def both_proximities(*args):
+        live = proximity(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in fired:
+                patch.setattr(module, name, lambda *a: False)
+            assert proximity(*args) == live, args
+        return live
+
+    monkeypatch.setattr(module, "empirical_class", both_oracles)
+    monkeypatch.setattr(module, "_proximity_identify", both_proximities)
+    for name in fired:
+        monkeypatch.setattr(module, name, spying(name))
+
+    # Example A's orbits are decided from their chunk products throughout
+    for x0 in (0.85, 1.5, 2.2):
+        v = classify(NEUTRAL_EXAMPLE, 1.0, x0)
+        assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+        assert opened[-1] == (100000, 100000)
+    for params, x0 in CLOSED_WALKS:
+        assert classify(params, 1.0, x0).rule == "oracle"
+    assert fired["_replay_rules_out"] == len(CLOSED_WALKS)
+    # a shorter budget keeps the neutral orbits quick; the fast path and
+    # the skips read only walks that reach it
+    rng = random.Random(29)
+    inputs = surface_draws(rng, 40, 1) + surface_draws(rng, 40, -1) + [
+        (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                    rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0)), rng.uniform(0.2, 5.0))
+        for _ in range(300)
+    ]
+    for params, x0 in inputs:
+        try:
+            classify(params, 1.0, x0, budget=20000)
+        except PairingError:
+            pass
+    ends = {end == budget for end, budget in opened}
+    assert ends == {True, False} and fired["_spans_rule_out"] > 0

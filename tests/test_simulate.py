@@ -150,6 +150,30 @@ def test_detect_limit_short_trajectory():
     assert detect_ratio_limit(RatioTrajectory([1.0, 2.0], COMPLETED)).kind == "none"
 
 
+def test_detect_limit_residual_is_the_largest_distance_from_the_mean():
+    """The residual, taken from a tail's least and largest values, is the
+    float that the largest |v - m| over the tail gives."""
+    rng = random.Random(11)
+    for _ in range(2000):
+        centre = 10.0 ** rng.uniform(-300.0, 300.0) * rng.choice([1.0, -1.0])
+        spread = 10.0 ** rng.uniform(-17.0, -9.0)
+        kind = rng.choice(["equilibrium", "two_cycle"])
+        other = centre * rng.uniform(0.1, 10.0) if kind == "two_cycle" else centre
+        tail = [
+            (other if k % 2 else centre) * (1.0 + spread * rng.uniform(-1.0, 1.0))
+            for k in range(TAIL_WINDOW)
+        ]
+        rep = detect_ratio_limit(RatioTrajectory(tail, COMPLETED), 1e-8)
+        if rep.kind == "equilibrium":
+            halves = [tail]
+        elif rep.kind == "two_cycle":
+            halves = [tail[0::2], tail[1::2]]
+        else:
+            continue
+        want = max(max(abs(v - sum(h) / len(h)) for v in h) for h in halves)
+        assert rep.residual == want, tail
+
+
 def test_empirical_diverging_orbit():
     assert (
         empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 3.0, 5000) == DIVERGES_TO_INFINITY
@@ -276,6 +300,12 @@ def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
         return empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, **kwargs), seen
 
     walk = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 6000).values
+    # a walk that covers the budget is decided from its chunk products
+    # without a check; its answer is compared, and its trace with them
+    # declined
+    covered = [empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, values=walk[:k]) for k in (5001, 6001)]
+    assert covered == [UNDETERMINED] * 2
+    monkeypatch.setattr(module, "_first_open_chunk", lambda values, budget, tol, lm: 0)
     alone = checks()
     assert alone[0] == UNDETERMINED and len(alone[1]) == 5000 // 256 + 1
     # the oracle's logs start at x_0, the trajectory's at x_{-1}
@@ -641,3 +671,67 @@ def test_precheck_skips_only_tails_that_cannot_settle(window):
     module = sys.modules["ratiodyn.simulate"]
     if module._apart(logs, signs, tol):
         assert settles_without_precheck(logs, signs, tol) is None
+
+
+def decline_chunk_products(*args):
+    """empirical_class with its chunk-product path declined."""
+    module = sys.modules["ratiodyn.simulate"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_first_open_chunk", lambda values, budget, tol, lm: 0)
+        return empirical_class(*args[:-1], values=args[-1])
+
+
+def test_a_chunk_whose_partial_product_leaves_the_normal_floats_declines():
+    module = sys.modules["ratiodyn.simulate"]
+    # x_n swings by a factor 1.1 and drifts down by 1% every two steps
+    walk = [1.0] + [1.1, 0.9] * 501
+    assert module._first_open_chunk(walk, 1000, 1e-8, 0.0) == 1000
+    # four ratios whose running product goes subnormal and back, while the
+    # chunk's product stays a normal float
+    odd = [*walk]
+    odd[10:14] = [1e-160, 1e-160, 1e160, 1e160]
+    assert 0.0 < 1e-160 * 1e-160 < sys.float_info.min
+    assert sys.float_info.min < abs(math.prod(odd[1:257])) < 1.0
+    assert module._first_open_chunk(odd, 1000, 1e-8, 0.0) == 0
+    # and later in the walk, after chunks that it decides
+    odd = [*walk]
+    odd[600:604] = [1e-160, 1e-160, 1e160, 1e160]
+    assert module._first_open_chunk(odd, 1000, 1e-8, 0.0) == 512
+    for values in (walk, odd):
+        assert empirical_class(None, 1.0, 1.0, 1000, values=values) == decline_chunk_products(
+            None, 1.0, 1.0, 1000, values
+        )
+
+
+@st.composite
+def covering_walks(draw):
+    """(values, budget, tol): ratios from t_0 = x_0 through the budget and a
+    little past it.  x_n drifts by ``drift`` decades a step and swings by
+    10^(+-wobble), with relative noise, and at times one ratio has another
+    sign or size.  x_0 starts within 1e-13 to 1e-4 decades of THETA_UP or
+    THETA_DOWN, or between them, and |1 - 1/(t t')| runs from below the
+    threshold 2 tol + 1e-13 of _apart to far above it."""
+    budget = draw(st.sampled_from([1000, 1299, 2048]))
+    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]))
+    sign = st.sampled_from([-1.0, 1.0])
+    lm0 = draw(st.sampled_from([-12.0, -11.99, 0.0, 11.99, 12.0]))
+    lm0 += draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1e-4])) * draw(sign)
+    drift = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])) * draw(sign)
+    wobble = draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
+    noise = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [10.0 ** lm0]
+    for i in range(budget + 2):
+        swing = wobble if i % 2 else -wobble
+        values.append(10.0 ** (drift + swing) * (1.0 + noise * rng.uniform(-1.0, 1.0)))
+    if draw(st.booleans()):
+        values[draw(st.integers(1, budget))] = draw(st.sampled_from([-1.0, -0.5, 20.0, 0.01]))
+    return values, budget, tol
+
+
+@given(covering_walks())
+@settings(max_examples=300, deadline=None)
+def test_the_chunk_products_answer_as_the_chunk_loop_near_its_margins(walk):
+    values, budget, tol = walk
+    live = empirical_class(None, 1.0, values[0], budget, tol, values=values)
+    assert live == decline_chunk_products(None, 1.0, values[0], budget, tol, values)
