@@ -630,7 +630,40 @@ def classify(
     budget: int = DEFAULT_BUDGET,
     tol: float = TAIL_TOL,
 ) -> Verdict:
-    """Simulate the ratio orbit, identify its limit, and apply the theorems.
+    """Simulate the ratio orbit, identify its limit, apply the theorems, and
+    note the empirical oracle's class on the verdict.
+
+    Two steps.  ``_theorem_verdict`` walks the orbit, names its limit and
+    applies the theorem branches.  Where it identifies no limit it asks the
+    oracle, whose class is then the verdict, with rule ``oracle``; a walk
+    that the zero guard stops gets rule ``oracle`` too, without asking it.
+    Every other verdict is a theorem's, and classify then asks the oracle,
+    which reads the walked ratios and walks on only past them, and appends
+    ``oracle=<class>`` to the verdict's notes.  ``ratiodyn sweep`` prints
+    only class and rule, so its rows take the first step alone.
+
+    ``tol`` is the tail tolerance of the walk and of the oracle, as is
+    ``--tol`` of ``ratiodyn classify`` and ``ratiodyn sweep``; it must be
+    finite and nonnegative.
+
+    The start must be positive, and must pass ``start_ratio``: finite, with
+    a finite nonzero ``x0 / x_minus1``.
+    """
+    v, values = _theorem_verdict(params, x_minus1, x0, budget, tol)
+    if v.rule == "oracle":  # the oracle's own class, or the zero-guard stop
+        return v
+    return _noted(v, _ORACLE_NOTES[_oracle(params, x_minus1, x0, budget, tol, values)])
+
+
+def _oracle(params, x_minus1, x0, budget, tol, values):
+    """The oracle's class for this start, read from the walked ``values``."""
+    return empirical_class(
+        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol, values=values,
+    )
+
+
+def _theorem_verdict(params, x_minus1, x0, budget, tol):
+    """classify's verdict before the oracle's note, and the walked ratios.
 
     The ratio orbit is checked after 64, 128, 256, 512 and 1024 steps, then
     every 1024 steps, and the walk stops as soon as its tail stabilizes or a
@@ -653,22 +686,21 @@ def classify(
     orbit that never roots the sextic.  An orbit that lands exactly on the limit
     within a few steps (the preimage-set case) gets the exact-landing
     verdict.  If no limit can be identified within the budget the empirical
-    oracle's class is returned.  The oracle reads the walked ratios and walks
+    oracle's class is returned, with rule ``oracle``; only then does this
+    step run the oracle.  The oracle reads the walked ratios and walks
     on only past them.  Both take every new ratio from ``walk_on``: once the
     float orbit repeats a value it is periodic for ever, and the walker
     replays that cycle instead of applying the map, with the same answers.
 
-    ``tol`` is the tail tolerance of the walk and of the oracle, as is
-    ``--tol`` of ``ratiodyn classify`` and ``ratiodyn sweep``.
-
-    The start must be positive, and must pass ``start_ratio``: finite, with
-    a finite nonzero ``x0 / x_minus1``.
+    Arguments and their checks are classify's.
     """
     t = start_ratio(x_minus1, x0)
     if not (x_minus1 > 0.0 and x0 > 0.0):
         raise ValueError("initial conditions must be positive")
     if budget < 1:
         raise ValueError("need budget >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
     limits = _Limits(params)
 
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
@@ -684,7 +716,7 @@ def classify(
             closed = (len(values) - 1 - k, k)
         values += array("d", chunk)  # from a list as fast as fromlist, an array by memcpy
         if stopped:
-            return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard")
+            return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard"), values
         done += n
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
@@ -710,19 +742,14 @@ def classify(
         elif isinstance(hit, TwoCycle):
             cyc = hit
 
-    oracle = empirical_class(
-        params, x_minus1, x0, max(budget, ORACLE_MIN_BUDGET), tol=tol, values=values,
-    )
-    note = _ORACLE_NOTES[oracle]
-
     if eq is not None:
         at_one = abs(eq.value - 1.0) <= _unit_band(params)
         landed = _landing_index(values, (eq.value,)) if at_one else None
         if landed is not None:
             return Verdict(
                 CONVERGES_TO_EQUILIBRIUM, "T1.cS",
-                notes=f"landed on the equilibrium at step {landed}; {note}",
-            )
+                notes=f"landed on the equilibrium at step {landed}",
+            ), values
         evidence = None
         sigma = params.b + 2.0 * params.c + 3.0 * params.d
         # only sigma = -1 (T1.c2) reads the evidence
@@ -730,16 +757,15 @@ def classify(
             evidence = subsequence_monotonicity(
                 solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
             )
-        v = classify_equilibrium_limit(params, eq, evidence)
-        return _noted(v, note)
+        return classify_equilibrium_limit(params, eq, evidence), values
 
     if cyc is not None:
         landed = _landing_index(values, (cyc.p, cyc.q)) if cyc.unit_product else None
         if landed is not None:
             return Verdict(
                 CONVERGES_TO_TWO_CYCLE, "T2.cS",
-                notes=f"landed on the 2-cycle at step {landed}; {note}",
-            )
+                notes=f"landed on the 2-cycle at step {landed}",
+            ), values
         evidence = None
         # only a multiplier of +1 (T2.c2) reads the evidence
         if cyc.unit_product and abs(cyc.multiplier - 1.0) <= EPS_SEARCHED:
@@ -747,7 +773,7 @@ def classify(
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None
-        v = classify_cycle_limit(params, cyc, evidence)
-        return _noted(v, note)
+        return classify_cycle_limit(params, cyc, evidence), values
 
-    return _noted(Verdict(oracle, "oracle"), "no ratio limit identified within budget")
+    oracle = _oracle(params, x_minus1, x0, budget, tol, values)
+    return _noted(Verdict(oracle, "oracle"), "no ratio limit identified within budget"), values

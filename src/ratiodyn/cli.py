@@ -3,6 +3,11 @@
 Everything is deterministic: fixed field order, fixed float formatting, and
 sweep rows are emitted in grid order whatever the number of workers.
 
+A sweep row writes only class and rule, so it takes the verdict before
+``classify`` notes the oracle's class on it: the oracle runs for a row only
+where it gives the class (rule ``oracle``).  ``classify`` and ``ratiodyn
+classify`` note the oracle's class on every verdict a theorem gives.
+
 ``sweep --threads n`` computes its rows in up to ``n`` processes: the
 interleaved shares ``grid[k::n]``, share 0 in this process and the others in
 ``os.fork()`` children that pickle their rows back over a pipe.  ``n`` is
@@ -19,7 +24,8 @@ import sys
 
 from . import __version__
 from .classify import (
-    _trapping_remark, classify, classify_cycle_limit, classify_equilibrium_limit,
+    _theorem_verdict, _trapping_remark, classify, classify_cycle_limit,
+    classify_equilibrium_limit,
 )
 from .criteria import DegeneracyError, criterion_report
 from .cycles import PairingError, find_two_cycles, unit_product_cycle
@@ -332,7 +338,8 @@ def _cmd_sweep(args, out):
         filled = list(values)
         filled[placeholder] = value
         params = Parameters(*filled)
-        v = classify(params, 1.0, args.x0_ratio, budget=args.steps, tol=args.tol)
+        # a row prints class and rule only, so it skips classify's oracle note
+        v, _ = _theorem_verdict(params, 1.0, args.x0_ratio, args.steps, args.tol)
         return f"{fmt(value)},{v.asymptotic_class},{v.rule}\r\n"
 
     out.write(f"{name},class,rule\r\n")

@@ -144,8 +144,8 @@ def real_roots_flagged(coeffs, lo: float, hi: float, tol: float = ROOT_TOL):
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if tol <= 0.0:
-        raise ValueError("need tol > 0")
+    if not 0.0 < tol < math.inf:  # a nan fails too
+        raise ValueError(f"need 0 < tol < inf, got {tol!r}")
     coeffs = list(map(float, coeffs))
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()

@@ -27,6 +27,7 @@ from ratiodyn.classify import (
 )
 from ratiodyn.cycles import PairingError, TwoCycle, find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
+    ALL_CLASSES,
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
     CONVERGES_TO_ZERO,
@@ -269,6 +270,18 @@ def test_classify_validates_inputs():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Parameters(1.0, 1.0, bad, 1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-8])
+def test_classify_rejects_a_tail_tolerance_that_cannot_settle(tol):
+    # no tail check can pass at such a tol, so every orbit would end via oracle
+    with pytest.raises(ValueError, match="tol"):
+        classify(UNIT_CYCLE_EXAMPLE, 1.0, 3.0, tol=tol)
+
+
+def test_classify_accepts_a_zero_tail_tolerance():
+    v = classify(UNIT_CYCLE_EXAMPLE, 1.0, 3.0, budget=2000, tol=0.0)
+    assert v.asymptotic_class in ALL_CLASSES
 
 
 # every positive equilibrium and 2-cycle of this set is repelling

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ from ratiodyn.classify import classify
 from ratiodyn.cli import _sweep_grid, build_analysis_report, main
 from ratiodyn.cycles import PairingError
 from ratiodyn.ratio_map import Parameters
+from ratiodyn.tolerances import DEFAULT_BUDGET, TAIL_TOL
 
 CLI = sys.modules["ratiodyn.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -128,19 +130,102 @@ def test_invalid_arguments_exit_one():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--params", "0.1,1.79,-2,1", "--x0", "3", "--tol", "nan"],
+        ["classify", "--params", "0.1,1.79,-2,1", "--x0", "3", "--tol", "-1e-8"],
+        ["classify", "--params", "0.1,1.79,-2,1", "--x0", "3", "--tol", "inf"],
+        [*SWEEP_9, "--tol", "-1"],
+        [*SWEEP_9, "--tol", "-1", "--threads", "2"],
+        ["analyze", "--params", "0.1,1.79,-2,1", "--tol", "nan"],
+        ["analyze", "--params", "0.1,1.79,-2,1", "--tol", "inf"],
+    ],
+    ids=["classify_nan", "classify_negative", "classify_inf", "sweep_negative",
+         "sweep_negative_forked", "analyze_nan", "analyze_inf"],
+)
+def test_a_tolerance_that_cannot_work_exits_one(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 1
+    assert "tol" in capsys.readouterr().err
+    # at most the sweep's header: no verdict and no report
+    assert out in ("", "c,class,rule\r\n")
+
+
+def _seeded_line(seed, at):
+    """A sweep over 30 values of the parameter at index ``at`` in (0.05, 3),
+    the others and the start ratio drawn from ``seed``."""
+    rng = random.Random(seed)
+    boxes = ((0.05, 3.0), (0.05, 3.0), (-6.0, 3.0), (0.05, 3.0))
+    values = [repr(rng.uniform(lo, hi)) for lo, hi in boxes]
+    values[at] = "C"
+    return [
+        "--params", ",".join(values), "--c-range", "0.05:3.0:30",
+        "--x0-ratio", repr(rng.uniform(0.2, 5.0)),
+    ]
+
+
+README_LINE = ["--params", "0.1,1.79,C,1", "--c-range", "-3:-1:200", "--x0-ratio", "1.3"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        README_LINE,
+        _seeded_line(4, 0),
+        _seeded_line(3, 1),
+        _seeded_line(3, 3),
+        # 11 of these 40 rows have not settled after 64 steps: they end via oracle
+        ["--params", "0.1,1.79,C,1", "--c-range", "-3:-1:40", "--x0-ratio", "1.3",
+         "--steps", "64", "--tol", "1e-9"],
+    ],
+    ids=["readme", "seeded_a", "seeded_b", "seeded_d", "readme_64_steps"],
+)
+def test_sweep_rows_answer_as_classify_and_ask_the_oracle_only_for_its_class(monkeypatch, line):
+    module = sys.modules["ratiodyn.classify"]
+    real = module.empirical_class
+    asked = []
+
+    def counting(params, *args, **kwargs):
+        asked.append(params)
+        return real(params, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "empirical_class", counting)
+        code, out = run_cli("sweep", *line, "--threads", "1")
+    assert code == 0
+    opts = dict(zip(line[::2], line[1::2]))
+    values = [part.strip() for part in opts["--params"].split(",")]
+    budget = int(opts.get("--steps", DEFAULT_BUDGET))
+    tol = float(opts.get("--tol", TAIL_TOL))
+    grid = _sweep_grid(opts["--c-range"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == len(grid)
+    via_oracle = []
+    for value, (text, klass, rule) in zip(grid, rows):
+        params = Parameters(*(value if v == "C" else float(v) for v in values))
+        v = classify(params, 1.0, float(opts["--x0-ratio"]), budget, tol)
+        assert (klass, rule) == (v.asymptotic_class, v.rule), text
+        if rule == "oracle":
+            via_oracle.append(params)
+    assert asked == via_oracle
+    if "--steps" in opts:
+        assert via_oracle
+
+
+@pytest.mark.parametrize(
     "bad_rows", [(4,), (3,), (6, 3)], ids=["parent_share", "child_share", "child_first"],
 )
 def test_failing_row_ends_the_sweep_as_the_serial_run_does(monkeypatch, capsys, bad_rows):
     grid = _sweep_grid("-3:-1:9")
     bad_values = {grid[i] for i in bad_rows}
-    real = CLI.classify
+    real = CLI._theorem_verdict
 
-    def classify(params, *args, **kwargs):
+    def row_verdict(params, *args):
         if params.c in bad_values:
             raise PairingError(f"no partner at c={params.c!r}")
-        return real(params, *args, **kwargs)
+        return real(params, *args)
 
-    monkeypatch.setattr(CLI, "classify", classify)
+    monkeypatch.setattr(CLI, "_theorem_verdict", row_verdict)
     runs = []
     for threads in ("1", "2"):
         code, out = run_cli(*SWEEP_9, "--threads", threads)
@@ -185,14 +270,14 @@ def test_workers_are_capped_and_fall_back_to_serial(monkeypatch):
 @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs to fork")
 def test_worker_that_dies_fails_the_sweep(monkeypatch):
     parent = os.getpid()
-    real = CLI.classify
+    real = CLI._theorem_verdict
 
-    def classify(*args, **kwargs):
+    def row_verdict(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(CLI, "classify", classify)
+    monkeypatch.setattr(CLI, "_theorem_verdict", row_verdict)
     with pytest.raises(RuntimeError, match="ended without sending its rows"):
         run_cli(*SWEEP_9, "--threads", "2")
 

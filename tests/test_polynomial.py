@@ -78,3 +78,9 @@ def test_found_roots_are_roots(coeffs):
     scale = max(1.0, *map(abs, coeffs))
     for r in found:
         assert abs(_horner(coeffs, r)) <= 1e-6 * scale * max(1.0, abs(r)) ** (len(coeffs) - 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_root_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        real_roots_flagged(from_roots([1.0, 2.0]), 0.0, math.inf, tol)
