@@ -274,7 +274,7 @@ def test_classify_validates_inputs():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-8])
 def test_classify_rejects_a_tail_tolerance_that_cannot_settle(tol):
-    # no tail check can pass at such a tol, so every orbit would end via oracle
+    # the tail detector never settles at such a tol: every orbit would end via oracle
     with pytest.raises(ValueError, match="tol"):
         classify(UNIT_CYCLE_EXAMPLE, 1.0, 3.0, tol=tol)
 
