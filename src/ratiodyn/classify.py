@@ -40,6 +40,7 @@ from .simulate import (
     INCREASING,
     RatioTrajectory,
     COMPLETED,
+    _check_tail_tol,
     detect_ratio_limit,
     empirical_class,
     solution_trajectory,
@@ -82,9 +83,10 @@ CHUNK = 1024
 #: a detected tail names a known equilibrium or 2-cycle within this relative
 #: distance
 MATCH_TOL = 1e-3
-#: _proximity_identify skips a walk whose quarters replay a closed float
-#: cycle at least this many whole periods each: m / (m + 1) >= 21/22 then
-#: keeps the late quarter's mean distance above 0.95 times the early one's
+#: a walk that closes on a float cycle stops at closure only where each of
+#: the last two quarters of a walk to its budget would replay this many
+#: whole periods: m / (m + 1) >= 21/22 then keeps the late quarter's mean
+#: distance to any limit above 0.95 times the early one's
 _WHOLE_PERIODS = 21
 
 # the contraction certificate's rounding (see _certify): u = 2^-53 is the
@@ -544,38 +546,16 @@ def _spans_rule_out(late, early, pts, scale, pad):
     return near >= 0.02 * scale or near > 0.95 * far * (1.0 + pad)
 
 
-def _replay_rules_out(values, closed, quarter, points):
-    """Whether a closed float cycle alone shows that the late quarter's
-    mean distance cannot fall 5% below the early one's, for every limit
-    point in ``points`` (see _proximity_identify)."""
-    since, k = closed
-    return (
-        since <= len(values) - 2 * quarter
-        and quarter // k >= _WHOLE_PERIODS
-        and not any(t == v for t in values[-k:] for v in points)
-    )
-
-
-def _proximity_identify(values, eqs, cycles, closed=None):
+def _proximity_identify(values, eqs, cycles):
     """Identify a slowly-approached limit by shrinking distance to a known
     attractor; used when the tail-spread detector has not converged yet
     (neutral multipliers approach their limit only polynomially fast).
 
     A limit is named where e_late < 0.02 scale and e_late <= 0.95 e_early,
     the float mean distances of the last and the second-to-last quarter of
-    the walk.  Two shortcuts skip the mean distances where those tests
-    must fail, and so change no answer.
+    the walk.  A shortcut skips the mean distances where those tests must
+    fail, and so changes no answer.
 
-    - ``closed`` is (since, k) where the walk closed on a float cycle of
-      period k, so that values[i + k] == values[i] from i = since on.
-      Where that holds over both quarters, each holds m >= _WHOLE_PERIODS
-      whole periods and fewer than k values more, so its exact sum of
-      float distances lies between m S and (m + 1) S, with S the sum over
-      one period.  S > 0 where no cycle value is a limit point, since a
-      float difference is 0 only between equal floats.  So
-      e_late >= (m / (m + 1)) e_early up to the sums' roundings, and
-      21/22 = 0.9545 exceeds 0.95 by more than those can move it: no limit
-      is named, and the pass is skipped.
     - Each quarter's least and largest values bound every float distance
       in it, since rounding is monotone: over the late quarter each is at
       least ``near``, the float distance of the end nearer to the limit
@@ -592,8 +572,12 @@ def _proximity_identify(values, eqs, cycles, closed=None):
       late quarter, fails the tests in any case; an inf in the early
       quarter makes ``far`` infinite, which no ``near`` exceeds.
 
-    Both proofs take n u <= 2^-20, which any walk of under 8e9 ratios
-    meets, so that the factors (1 +- k u) they use stay close to 1.
+    The proof takes n u <= 2^-20, which any walk of under 8e9 ratios
+    meets, so that the factors (1 +- k u) it uses stay close to 1.
+
+    A walk that closed on a float cycle of period 3 or more, early in its
+    budget and with no settled tail at any later check, stops at closure
+    instead and never gets here (_settles_nowhere).
     """
     n = len(values)
     if n < 64:
@@ -602,10 +586,6 @@ def _proximity_identify(values, eqs, cycles, closed=None):
     early = values[n - 2 * quarter : n - quarter]
     late = values[n - quarter :]
     limits = [(e, (e.value,)) for e in eqs] + [(c, (c.p, c.q)) for c in cycles]
-    if closed is not None and _replay_rules_out(
-        values, closed, quarter, [v for _, pts in limits for v in pts]
-    ):
-        return None
 
     # every limit reads each quarter's least and largest value: take them once
     early_span, late_span = [(min(v), max(v)) for v in (early, late)]
@@ -662,6 +642,98 @@ def _oracle(params, x_minus1, x0, budget, tol, values):
     )
 
 
+def _check_steps(done, budget):
+    """The steps after ``done`` at which the walk checks its tail: 64, 128,
+    256, 512 and 1024, then every CHUNK steps, and ``budget``."""
+    while done < budget:
+        done += min(max(done, FIRST_CHECK), CHUNK, budget - done)
+        yield done
+
+
+def _settles_nowhere(values, since, k, done, budget, tol):
+    """Whether a walk that closed on a float cycle of period k in the chunk
+    that ends at step ``done``, and whose check there found no settled
+    tail, would find none at any later check through ``budget`` either,
+    and would leave the proximity pass nothing to name.  Where it returns
+    True, classify's verdict is the oracle's class, whatever the walk does
+    past ``done``; the oracle then reads the ratios walked so far, and its
+    class is the one it reads from a walk to the budget (see
+    empirical_class).
+
+    values[i + k] == values[i] from i = since on, for every i the walk
+    reaches (closed_period).  The k floats of the cycle
+    values[since : since + k] are distinct: were two equal, the walk would
+    repeat with a shorter period, which closed_period would have found
+    first.
+
+    - Later checks.  The window of a check at step c, values[c - 63 .. c],
+      lies past ``since``: closed_period found the cycle as the chunk
+      began, at step since + k, and a check that is not the last lies at
+      least 64 steps past the one before it.  The window starts at index
+      (c - 63 - since) mod k of the cycle, and the detector reads only
+      those 64 floats.  So it is run once for each such phase that the
+      later checks visit, on the rotated cycle, and where every run answers
+      none, so does every later check.  A cycle's floats are finite, so
+      the walk would then break only at step CHUNK, where no limit is a
+      candidate, or at the budget.
+    - The proximity pass.  Take n = budget + 1 ratios and quarter = n // 4,
+      with since <= n - 2 quarter and m = quarter // k >= _WHOLE_PERIODS.
+      Then each of the last two quarters holds m whole periods and fewer
+      than k values more, so each holds every cycle value, and its least
+      and largest values are the cycle's.  For a limit of one point, or a
+      2-cycle's two (_mean_distance reads the cycle's span in both
+      quarters alike), each value's float distance depends on the value
+      alone; let S be their sum over one period.  A float difference is 0
+      only between equal floats, and at most two of the k >= 3 distinct
+      cycle values sit on a limit point: so S > 0.  Each quarter's exact
+      sum of distances lies between m S and (m + 1) S, so
+      e_late >= (m / (m + 1)) e_early > 0 up to the sums' roundings, and
+      21/22 = 0.9545 exceeds 0.95 by more than those can move it
+      (_proximity_identify's bound): the pass names no limit, and which
+      limits the set has is never read.
+    - The verdict.  With no settled tail at any later check, the walk
+      would have gone on to step CHUNK and stopped there where no limit is
+      a candidate, or on to the budget and the proximity pass, which names
+      none: either way it would have asked the oracle, as this stop does.
+    """
+    n = budget + 1  # the ratios of a walk to the budget
+    quarter = n // 4
+    if k < 3 or quarter // k < _WHOLE_PERIODS or since > n - 2 * quarter:
+        return False
+    cycle = values[since : since + k]
+    start = done - TAIL_WINDOW + 1
+    phases = {(start - since) % k} if start >= since else set()
+    for c in _check_steps(done, budget):
+        r = (c - TAIL_WINDOW + 1 - since) % k
+        if r in phases:
+            continue
+        phases.add(r)
+        window = ((cycle[r:] + cycle[:r]) * (TAIL_WINDOW // k + 1))[:TAIL_WINDOW]
+        if detect_ratio_limit(RatioTrajectory(window, COMPLETED), tol).kind != "none":
+            return False
+        if len(phases) == k:
+            break
+    return True
+
+
+def _oracle_verdict(params, x_minus1, x0, budget, tol, values):
+    """The verdict where no limit is identified: the oracle's class."""
+    oracle = _oracle(params, x_minus1, x0, budget, tol, values)
+    return _noted(Verdict(oracle, "oracle"), "no ratio limit identified within budget"), values
+
+
+def _check_walk(x_minus1, x0, budget, tol):
+    """The start ratio of classify's walk, once its arguments pass
+    classify's checks; else ValueError."""
+    t = start_ratio(x_minus1, x0)
+    if not (x_minus1 > 0.0 and x0 > 0.0):
+        raise ValueError("initial conditions must be positive")
+    if budget < 1:
+        raise ValueError("need budget >= 1")
+    _check_tail_tol(tol)
+    return t
+
+
 def _theorem_verdict(params, x_minus1, x0, budget, tol):
     """classify's verdict before the oracle's note, and the walked ratios.
 
@@ -692,32 +764,35 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     float orbit repeats a value it is periodic for ever, and the walker
     replays that cycle instead of applying the map, with the same answers.
 
+    The walk also stops at the first check after it closes on a float
+    cycle of period 3 or more, where its answer at every later check is
+    already known (_settles_nowhere): where the detector finds no settled
+    tail on any rotation of the cycle that a later window reads, and a walk
+    to the budget would replay at least 21 whole periods in each of its
+    last two quarters, no later check and no proximity pass can name a
+    limit.  The verdict is then the oracle's class, without rooting either
+    polynomial or replaying the cycle to the budget.  A cycle of period 1
+    or 2, or one whose rotations settle, is walked on as before.
+
     Arguments and their checks are classify's.
     """
-    t = start_ratio(x_minus1, x0)
-    if not (x_minus1 > 0.0 and x0 > 0.0):
-        raise ValueError("initial conditions must be positive")
-    if budget < 1:
-        raise ValueError("need budget >= 1")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
+    t = _check_walk(x_minus1, x0, budget, tol)
     limits = _Limits(params)
 
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
     values = array("d", [t])
     done = 0
     k = None  # the period of the float cycle the ratios closed on, once they have
-    closed = None  # (the step from which the ratios repeat, k), once they do
     eq = cyc = None
-    while done < budget:
-        n = min(max(done, FIRST_CHECK), CHUNK, budget - done)
-        chunk, k, stopped = walk_on(params, values, n, k)
-        if k and closed is None:
-            closed = (len(values) - 1 - k, k)
+    for check in _check_steps(0, budget):
+        closing = k is None
+        chunk, k, stopped = walk_on(params, values, check - done, k)
+        # where the ratios closed in this chunk: the step from which they repeat
+        since = len(values) - 1 - k if k and closing else None
         values += array("d", chunk)  # from a list as fast as fromlist, an array by memcpy
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard"), values
-        done += n
+        done = check
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
             eq, cyc = _identify(det, limits)
@@ -729,6 +804,8 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
             ):
                 break
             eq = cyc = None
+        elif since is not None and _settles_nowhere(values, since, k, done, budget, tol):
+            return _oracle_verdict(params, x_minus1, x0, budget, tol, values)
         if not math.isfinite(values[-1]):
             break
         # the walk reaches step CHUNK exactly, once, when the budget allows
@@ -736,7 +813,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
             break
 
     if det.kind == "none" and limits.candidate():
-        hit = _proximity_identify(values, limits.eqs(), limits.cycles(), closed)
+        hit = _proximity_identify(values, limits.eqs(), limits.cycles())
         if isinstance(hit, Equilibrium):
             eq = hit
         elif isinstance(hit, TwoCycle):
@@ -775,5 +852,4 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
             evidence = ev0 if ev0 == ev1 else None
         return classify_cycle_limit(params, cyc, evidence), values
 
-    oracle = _oracle(params, x_minus1, x0, budget, tol, values)
-    return _noted(Verdict(oracle, "oracle"), "no ratio limit identified within budget"), values
+    return _oracle_verdict(params, x_minus1, x0, budget, tol, values)

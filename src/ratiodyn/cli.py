@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .classify import (
-    _theorem_verdict, _trapping_remark, classify, classify_cycle_limit,
+    _check_walk, _theorem_verdict, _trapping_remark, classify, classify_cycle_limit,
     classify_equilibrium_limit,
 )
 from .criteria import DegeneracyError, criterion_report
@@ -334,14 +334,20 @@ def _cmd_sweep(args, out):
     grid = _sweep_grid(args.c_range)
     name = "abcd"[placeholder]
 
-    def row(value):
+    def params_at(value):
         filled = list(values)
         filled[placeholder] = value
-        params = Parameters(*filled)
+        return Parameters(*filled)
+
+    def row(value):
         # a row prints class and rule only, so it skips classify's oracle note
-        v, _ = _theorem_verdict(params, 1.0, args.x0_ratio, args.steps, args.tol)
+        v, _ = _theorem_verdict(params_at(value), 1.0, args.x0_ratio, args.steps, args.tol)
         return f"{fmt(value)},{v.asymptotic_class},{v.rule}\r\n"
 
+    # the checks every row makes, and the first row's parameters, before
+    # the header: an argument that cannot work leaves stdout empty
+    _check_walk(1.0, args.x0_ratio, args.steps, args.tol)
+    params_at(grid[0])
     out.write(f"{name},class,rule\r\n")
     n = _worker_count(args.threads, len(grid))
     if n == 1:

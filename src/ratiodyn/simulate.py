@@ -71,6 +71,8 @@ _SURE = 1.0 - 32 * _U
 _CLOSED_MAX_STEPS = 2 ** 40
 #: ln 10, for 1 - 10^-G = -expm1(-G ln 10) in _closed_class
 _LN10 = math.log(10.0)
+#: _far_apart's factor on its bound of a passing test's mean, 1 + 2^-40
+_MEAN_PAD = 1.0 + 2.0 ** -40
 #: _first_open_chunk decides a chunk only where every |t| in it lies in
 #: [1 / _MODERATE, _MODERATE]: then no partial product of up to
 #: ORACLE_CHUNK = 256 of them leaves the normal floats (256 * 3.9 < 1022)
@@ -112,6 +114,9 @@ class LimitReport:
     kind: str  # "equilibrium" | "two_cycle" | "none"
     values: tuple
     residual: float
+
+
+_NO_LIMIT = LimitReport(kind="none", values=(), residual=math.inf)
 
 
 def start_ratio(x_minus1: float, x0: float) -> float:
@@ -259,31 +264,91 @@ def iterate_solution(
     )
 
 
+def _check_tail_tol(tol):
+    """Raise ValueError unless ``tol`` is a tail tolerance that can work:
+    finite and nonnegative.  An infinite one settles every finite tail, and
+    a NaN or negative one none."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
+
+
 def _spread_ok(tail, tol):
-    """Whether ``tail`` spreads by at most tol relative, its mean m, and
-    the largest distance of a value from m.
+    """Whether ``tail`` spreads by at most tol relative about a finite mean,
+    its mean m, and the largest distance of a value from m.
 
     That distance is max(hi - m, m - lo) for the least and largest values
     lo and hi, the same float as the largest |v - m| over a finite tail:
     rounding is monotone, so fl(v - m) is largest at v = hi and smallest at
-    v = lo, and it is symmetric, so fl(m - v) = -fl(v - m).
+    v = lo, and it is symmetric, so fl(m - v) = -fl(v - m).  A tail holding
+    an infinity, or a NaN, or whose sum overflows, has no finite mean and
+    does not settle.
     """
     m = sum(tail) / len(tail)
     lo, hi = min(tail), max(tail)
-    return (hi - lo) <= tol * max(1.0, abs(m)), m, max(hi - m, m - lo)
+    ok = math.isfinite(m) and (hi - lo) <= tol * max(1.0, abs(m))
+    return ok, m, max(hi - m, m - lo)
+
+
+def _far_apart(t, s, tol):
+    """Whether the last ratio t = t_N and s = t_(N-2) lie too far apart for
+    the detector's window to settle: True only where both of its tests fail.
+
+    Let u = 2^-53 and 0 <= tol < 1/4.  t and s both sit in the window and
+    in its odd half.  So the equilibrium test, and the odd half of the
+    2-cycle test, each pass only for a set S of 64 or 32 values, holding t
+    and s, with a finite float mean m and with fl(hi - lo) <= fl(tol M),
+    where lo and hi are the least and largest values of S and
+    M = max(1, |m|).  A finite m means that every value of S is finite and
+    that their sum did not overflow.  Let D = fl(|t - s|).
+
+    - hi - lo >= |t - s|, and rounding is monotone, so D <= fl(hi - lo).
+    - M <= W = w F / (1 - tol F), with w = max(1, |t|) and F = 1 + 2^-45.
+      Where M = 1 this holds as w >= 1.  Where |m| > 1 the division by 64
+      or 32 is exact, and CPython's sum, plain or compensated, errs by at
+      most gamma = 63 u / (1 - 63 u) times the sum of |v| (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+      section 4.2).  So |m| <= (1 + gamma) V, V the largest |v|, and
+      V <= |t| + (hi - lo), as t lies in [lo, hi].  A passing test gives
+      hi - lo <= fl(hi - lo) / (1 - u) <= (tol M (1 + u) + eta) / (1 - u),
+      with eta <= 2^-1075 for a product that underflows.  Solving for M,
+      M (1 - tol c) <= (1 + gamma)(w + 2 eta) with c = (1 + gamma)(1 + u)
+      / (1 - u) < F, and (1 + gamma)(1 + 2 eta) < F too, since w >= 1.
+    - The float w * _MEAN_PAD / (1 - tol * _MEAN_PAD), with
+      _MEAN_PAD = 1 + 2^-40, is at least W: its products and quotient
+      round by (1 - u) at worst, a product of tol that underflows rounds
+      to no less than tol, and the rounding of the difference leaves the
+      denominator at most (1 + 3 u)(1 - tol F); and
+      (1 + 2^-40)(1 - u)^2 / (1 + 3 u) > F.
+    - So tol M <= tol W, and as rounding is monotone, a passing test has
+      D <= fl(tol M) <= fl(tol W).
+
+    So D > fl(tol W) means both tests fail.  A NaN t or s makes D NaN,
+    which exceeds nothing; an infinite t makes W infinite, or tol W NaN
+    where tol = 0; an infinite s sits in every S, which then has no finite
+    mean.  A tol of 1/4 or more is left to the full tests.
+    """
+    if tol >= 0.25:
+        return False
+    bound = max(1.0, abs(t)) * _MEAN_PAD / (1.0 - tol * _MEAN_PAD)
+    return abs(t - s) > tol * bound
 
 
 def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitReport:
     """Classify the tail of a ratio orbit as equilibrium, 2-cycle, or neither.
 
-    Equilibrium: the last TAIL_WINDOW values agree to tol.  2-cycle: even and
-    odd tails each agree to tol but sit more than 10 tol apart.  Reported
-    values are tail means; the residual is the largest distance of a tail
-    value from its tail mean (for a 2-cycle, from the mean of its half).
+    Equilibrium: the last TAIL_WINDOW values agree to tol about a finite
+    mean.  2-cycle: even and odd tails each agree to tol but sit more than
+    10 tol apart.  Reported values are tail means; the residual is the
+    largest distance of a tail value from its tail mean (for a 2-cycle,
+    from the mean of its half).  ``tol`` must be finite and nonnegative.
+
+    The tail is not read where its last value and the one two steps before
+    lie too far apart for either test to pass (``_far_apart``).
     """
+    _check_tail_tol(tol)
     vals = traj.values
-    if len(vals) < TAIL_WINDOW:
-        return LimitReport(kind="none", values=(), residual=math.inf)
+    if len(vals) < TAIL_WINDOW or _far_apart(vals[-1], vals[-3], tol):
+        return _NO_LIMIT
     tail = vals[-TAIL_WINDOW:]
     ok, m, res = _spread_ok(tail, tol)
     if ok:
@@ -293,7 +358,7 @@ def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitRep
     if ok_e and ok_o and abs(me - mo) > 10.0 * tol * max(1.0, abs(me), abs(mo)):
         lo, hi = sorted((me, mo))
         return LimitReport(kind="two_cycle", values=(lo, hi), residual=max(res_e, res_o))
-    return LimitReport(kind="none", values=(), residual=math.inf)
+    return _NO_LIMIT
 
 
 def _trend_lag(length):
@@ -598,7 +663,8 @@ def empirical_class(
     ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
     ``array("d")``.  The oracle reads them chunk by chunk and applies
     the ratio map only past their end, so its answer is the one a walk from
-    the start gives.  Without them it knows only ``t_0``.
+    the start gives.  Without them it knows only ``t_0``.  ``tol`` is the
+    tail tolerance, finite and nonnegative.
 
     Every ratio past them comes from ``walk_on``, as in ``classify``: a
     float cycle the ratios close on is replayed, and its log10 |t| summed in
@@ -621,6 +687,7 @@ def empirical_class(
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
+    _check_tail_tol(tol)
     t0 = start_ratio(x_minus1, x0)
     if values is None:
         values = [t0]

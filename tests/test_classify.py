@@ -25,6 +25,7 @@ from ratiodyn.classify import (
     _mean_distance,
     _slope_bound,
 )
+from ratiodyn.criteria import DegeneracyError
 from ratiodyn.cycles import PairingError, TwoCycle, find_two_cycles, unit_product_cycle
 from ratiodyn.outcomes import (
     ALL_CLASSES,
@@ -36,7 +37,7 @@ from ratiodyn.outcomes import (
     ITERATION_STOPS,
     UNDETERMINED,
 )
-from ratiodyn.polynomial import real_roots_flagged
+from ratiodyn.polynomial import RootIsolationError, real_roots_flagged
 from ratiodyn.ratio_map import (
     Equilibrium, Parameters, critical_points, equilibria, fixed_point_poly, phi,
     phi_prime,
@@ -456,31 +457,52 @@ def test_orbits_close_where_the_replay_tests_need(monkeypatch):
     assert first_periods(monkeypatch, SWEEP_ROW, 1.3, ROOT_TOL) == {"empirical_class": 2}
 
 
+# seed-0 box sets (inputs 966 and 823) whose orbits close on a float cycle
+# of period 16 and 12 that never settles, with a non-repelling limit: the
+# walk stops at the first check after closure
+CLOSED_WALKS = [
+    (Parameters(0.15007949100110524, 2.316318775601144, -3.619437991286077, 1.5931125305073466),
+     2.7216527001861324),
+    (Parameters(0.08571340087990507, 2.1409924880822073, -2.4810147676224688, 0.8463792722325765),
+     2.662027708067217),
+]
+
+
 def test_replay_gives_the_answers_of_the_plain_walk(monkeypatch):
+    """A walk that replays a closed cycle, and may stop at closure, gives
+    the verdicts and oracle answers of one that applies the map to its
+    budget, and walks no further than it."""
     cases = [(params, x0, TAIL_TOL) for _, params, x0 in CLOSING_ORBITS]
     cases += [(SWEEP_ROW, 1.3, ROOT_TOL), (UNIT_CYCLE_EXAMPLE, 3.0, ROOT_TOL)]
+    cases += [(params, x0, TAIL_TOL) for params, x0 in CLOSED_WALKS]
     module = sys.modules["ratiodyn.classify"]
-    detect, walked = module.detect_ratio_limit, []
+    oracle, walked = module._oracle, []
 
-    def recording(traj, tol):
-        walked.append(list(traj.values))
-        return detect(traj, tol)
+    def recording(params, x_minus1, x0, budget, tol, values):
+        walked.append(len(values))
+        return oracle(params, x_minus1, x0, budget, tol, values)
 
-    monkeypatch.setattr(module, "detect_ratio_limit", recording)
+    monkeypatch.setattr(module, "_oracle", recording)
 
     def answers():
-        """Each verdict, the standalone oracle's answer, and the ratios
-        classify's walk had at each of its checks."""
+        """Each verdict, the standalone oracle's answer, and how many ratios
+        classify's walk held when it asked its oracle."""
         out = []
         for params, x0, tol in cases:
             walked.clear()
             v = classify(params, 1.0, x0, tol=tol)
-            out.append((repr(v), empirical_class(params, 1.0, x0, tol=tol), [*walked]))
+            (steps,) = walked
+            out.append((repr(v), empirical_class(params, 1.0, x0, tol=tol), steps))
         return out
 
     replayed = answers()
     monkeypatch.setattr(sys.modules["ratiodyn.simulate"], "closed_period", lambda ratios: None)
-    assert answers() == replayed
+    plain = answers()
+    assert [r[:2] for r in replayed] == [p[:2] for p in plain]
+    assert all(r[2] <= p[2] for r, p in zip(replayed, plain))
+    # the two walks that never settle stop at closure, short of the budget
+    for r, p in zip(replayed[-2:], plain[-2:]):
+        assert p[2] == 100001 and r[2] < p[2]
 
 
 def test_a_closed_orbit_is_replayed_not_walked(monkeypatch):
@@ -772,25 +794,17 @@ def test_the_certificate_declines_where_it_proves_nothing():
     assert _certify(eq(t.value), TINY_A) is None
 
 
-# seed-0 box sets whose orbits close on a float cycle of period 4 to 16 that
-# never settles, with a non-repelling limit: classify replays the cycle to
-# the end of its budget
-CLOSED_WALKS = [
-    (Parameters(0.15007949100110524, 2.316318775601144, -3.619437991286077, 1.5931125305073466),
-     2.7216527001861324),
-    (Parameters(0.08571340087990507, 2.1409924880822073, -2.4810147676224688, 0.8463792722325765),
-     2.662027708067217),
-]
-
-
 def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeypatch):
     """The oracle's chunk products (simulate._first_open_chunk) and the
-    proximity pass's two skips give, call by call, the answers of the
-    passes they skip, on the calls classify makes."""
+    proximity pass's skip give, call by call, the answers of the passes
+    they skip, on the calls classify makes; a walk that closes on a cycle
+    that never settles stops at closure and never reaches the proximity
+    pass."""
     sim, module = sys.modules["ratiodyn.simulate"], sys.modules["ratiodyn.classify"]
     oracle, proximity = module.empirical_class, module._proximity_identify
     first_open = sim._first_open_chunk
-    opened, fired = [], {"_spans_rule_out": 0, "_replay_rules_out": 0}
+    opened, fired = [], {"_spans_rule_out": 0, "_settles_nowhere": 0}
+    proximities = [0]
 
     def spying(name):
         real = getattr(module, name)
@@ -813,10 +827,10 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
         return live
 
     def both_proximities(*args):
+        proximities[0] += 1
         live = proximity(*args)
         with pytest.MonkeyPatch.context() as patch:
-            for name in fired:
-                patch.setattr(module, name, lambda *a: False)
+            patch.setattr(module, "_spans_rule_out", lambda *a: False)
             assert proximity(*args) == live, args
         return live
 
@@ -830,9 +844,10 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
         v = classify(NEUTRAL_EXAMPLE, 1.0, x0)
         assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
         assert opened[-1] == (100000, 100000)
+    proximities[0] = 0
     for params, x0 in CLOSED_WALKS:
         assert classify(params, 1.0, x0).rule == "oracle"
-    assert fired["_replay_rules_out"] == len(CLOSED_WALKS)
+    assert fired["_settles_nowhere"] == len(CLOSED_WALKS) and proximities[0] == 0
     # a shorter budget keeps the neutral orbits quick; the fast path and
     # the skips read only walks that reach it
     rng = random.Random(29)
@@ -848,3 +863,109 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
             pass
     ends = {end == budget for end, budget in opened}
     assert ends == {True, False} and fired["_spans_rule_out"] > 0
+
+
+def box_inputs(seed, count):
+    """The benchmark's ``box_classify`` inputs (perfbench/workloads.py):
+    ``count`` (params, x0) from the shifted Kronecker sequence of ``seed``
+    over ROADMAP item 3's fuzz box."""
+    box = ((0.05, 3.0), (0.05, 3.0), (-6.0, 3.0), (0.05, 3.0), (0.2, 5.0))
+    g = 2.0
+    for _ in range(64):  # the positive root of g^6 = g + 1
+        g = (1.0 + g) ** (1.0 / 6)
+    alpha = [(1.0 / g) ** (j + 1) for j in range(5)]
+    rng = random.Random(seed)
+    shift = [rng.random() for _ in range(5)]
+    out = []
+    for i in range(1, count + 1):
+        a, b, c, d, x0 = (
+            lo + (hi - lo) * ((s + i * al) % 1.0) for (lo, hi), s, al in zip(box, shift, alpha)
+        )
+        out.append((Parameters(a, b, c, d), x0))
+    return out
+
+
+def tiny_a_grid():
+    """ROADMAP item 1's 486 tiny-``a`` inputs: a from 1e-40 to 1e-15, three
+    values each of b, c, d and x0."""
+    return [
+        (Parameters(10.0 ** -e, b, c, d), x0)
+        for e in (40, 35, 30, 25, 20, 15) for b in (0.3, 1.0, 2.5)
+        for c in (-3.0, -0.5, 1.0) for d in (0.2, 1.0, 2.0) for x0 in (0.5, 1.5, 3.0)
+    ]
+
+
+def verdict_or_error(params, x0, **kwargs):
+    """repr(classify(...)), or the type of the numerical failure it raised."""
+    try:
+        return repr(classify(params, 1.0, x0, **kwargs))
+    except (PairingError, RootIsolationError, DegeneracyError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def test_the_stops_change_no_verdict(monkeypatch):
+    """The stop at closure (_settles_nowhere) and the detector's O(1)
+    reject (simulate._far_apart) leave every verdict, and every exception
+    type, as the walk without them gives it."""
+    rng = random.Random(31)
+    groups = {
+        "box": [(params, x0, {}) for params, x0 in box_inputs(0, 3000)],
+        "tiny_a": [(params, x0, {}) for params, x0 in tiny_a_grid()],
+        # a shorter budget keeps the neutral orbits quick
+        "surfaces": [
+            (params, x0, {"budget": 20000})
+            for params, x0 in surface_draws(rng, 60, 1) + surface_draws(rng, 60, -1)
+        ],
+    }
+    module, sim = sys.modules["ratiodyn.classify"], sys.modules["ratiodyn.simulate"]
+    real, stops = module._settles_nowhere, dict.fromkeys(groups, 0)
+
+    def counting(*args):
+        stopped = real(*args)
+        stops[group] += stopped
+        return stopped
+
+    monkeypatch.setattr(module, "_settles_nowhere", counting)
+    live = []
+    for group, inputs in groups.items():
+        live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    # how many walks of each group stop at closure
+    assert stops == {"box": 272, "tiny_a": 0, "surfaces": 4}
+    monkeypatch.setattr(module, "_settles_nowhere", lambda *args: False)
+    monkeypatch.setattr(sim, "_far_apart", lambda t, s, tol: False)
+    inputs = [inp for inputs in groups.values() for inp in inputs]
+    plain = [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    differ = [(inp, v, w) for inp, v, w in zip(inputs, live, plain) if v != w]
+    assert differ == []
+
+
+def test_walks_that_never_settle_stop_at_closure(monkeypatch):
+    box = box_inputs(0, 2000)
+    assert [box[i] for i in (966, 823)] == CLOSED_WALKS
+    module = sys.modules["ratiodyn.classify"]
+    oracle, walked = module._oracle, []
+
+    def recording(params, x_minus1, x0, budget, tol, values):
+        walked.append(len(values) - 1)
+        return oracle(params, x_minus1, x0, budget, tol, values)
+
+    monkeypatch.setattr(module, "_oracle", recording)
+    # (input, class, the step the walk stopped at): these close on a cycle
+    # of period 12, 4 and 8 after 128, 256 and 512 steps and stop at the
+    # next check, without rooting either polynomial
+    for i, want, step in [
+        (823, CONVERGES_TO_ZERO, 256),
+        (1825, CONVERGES_TO_ZERO, 512),
+        (1109, DIVERGES_TO_INFINITY, 1024),
+    ]:
+        walked.clear()
+        v, calls = rooting_calls(monkeypatch, *box[i])
+        assert (v.asymptotic_class, v.rule) == (want, "oracle"), i
+        assert walked == [step] and calls == {"equilibria": 0, "find_two_cycles": 0}, i
+    # input 966 has not closed by step 1024, where it roots both
+    # polynomials to learn that some limit is non-repelling; it closes on
+    # a cycle of period 16 after 2048 steps and stops at step 3072
+    walked.clear()
+    v, calls = rooting_calls(monkeypatch, *box[966])
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
+    assert walked == [3072] and calls == {"equilibria": 1, "find_two_cycles": 1}

@@ -147,8 +147,26 @@ def test_a_tolerance_that_cannot_work_exits_one(argv, capsys):
     code, out = run_cli(*argv)
     assert code == 1
     assert "tol" in capsys.readouterr().err
-    # at most the sweep's header: no verdict and no report
-    assert out in ("", "c,class,rule\r\n")
+    # no verdict, no report, and no sweep header
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SWEEP_9, "--x0-ratio", "-1"],
+        [*SWEEP_9, "--x0-ratio", "inf"],
+        [*SWEEP_9, "--steps", "0"],
+        ["sweep", "--params", "C,1.79,-2,1", "--c-range", "0:1:3"],
+        ["sweep", "--params", "C,1.79,-2,1", "--c-range", "0:1:3", "--threads", "2"],
+    ],
+    ids=["negative_start", "infinite_start", "no_steps", "first_row_a_zero",
+         "first_row_a_zero_forked"],
+)
+def test_a_sweep_that_cannot_start_writes_nothing(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("ratiodyn: ")
 
 
 def _seeded_line(seed, at):

@@ -317,6 +317,91 @@ def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
         assert checks(values=array("d", walk[:k])) == alone, k
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
+def test_a_tail_tolerance_that_cannot_work_is_rejected(tol):
+    # this orbit converges to a 2-cycle; at tol = inf the oracle once read
+    # it as settling on an equilibrium, and the detector a 2-cycle tail
+    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0) == CONVERGES_TO_TWO_CYCLE
+    with pytest.raises(ValueError, match="tol"):
+        empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        detect_ratio_limit(RatioTrajectory([1.0, 2.0] * 32, COMPLETED), tol)
+
+
+def test_a_tail_without_a_finite_mean_does_not_settle():
+    # an infinity, a NaN, or a sum that overflows; each once read as an
+    # equilibrium at inf or nan at a positive tol
+    tails = [
+        [1.0] * 63 + [math.inf], [math.inf] + [1.0] * 63,
+        [1.0, 2.0] * 31 + [math.inf, 1.0], [1e308] * 64, [2.0] + [math.nan] * 63,
+    ]
+    for tail in tails:
+        for tol in (0.0, 1e-8, 0.2, 1e300):
+            report = detect_ratio_limit(RatioTrajectory(tail, COMPLETED), tol)
+            assert report.kind == "none", (tail, tol)
+
+
+def test_the_detector_skips_a_tail_whose_last_values_lie_apart():
+    module = sys.modules["ratiodyn.simulate"]
+    assert module._far_apart(1.0, 1.0 + 1e-7, 1e-8)
+    assert not module._far_apart(1.0, 1.0 + 1e-8, 1e-8)
+    assert module._far_apart(-3.0, 3.0, 0.2) and not module._far_apart(-3.0, 3.0, 0.25)
+    assert module._far_apart(1.0, math.nextafter(1.0, 2.0), 0.0)
+    assert not module._far_apart(1.0, 1.0, 0.0)
+    assert not module._far_apart(math.nan, 1.0, 1e-8) and not module._far_apart(1.0, math.nan, 1e-8)
+    assert not module._far_apart(math.inf, 1.0, 1e-8) and not module._far_apart(math.inf, 1.0, 0.0)
+
+
+@st.composite
+def tails_near_the_reject_bound(draw):
+    """(tail, tol): 64 ratios whose last value t and third-to-last s lie a
+    few ulps either side of the reject's bound on |t - s|, or of the
+    thresholds of the detector's own tests, from subnormal to 1e300 in
+    size and of mixed signs."""
+    tol = draw(st.sampled_from([0.0, 5e-324, 1e-8, 0.2]))
+    t = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-320.0, 300.0))
+    w = max(1.0, abs(t))
+    pad = 1.0 + 2.0 ** -40
+    gap = draw(st.sampled_from([
+        tol * (w * pad / (1.0 - tol * pad)), tol * w, tol * w / (1.0 - tol),
+    ]))
+    for _ in range(draw(st.integers(0, 4))):
+        gap = math.nextafter(gap, draw(st.sampled_from([0.0, math.inf])))
+    # s on either side of t, which may cross 0
+    s = t + draw(st.sampled_from([1.0, -1.0])) * gap
+    for _ in range(draw(st.integers(0, 2))):
+        s = math.nextafter(s, draw(st.sampled_from([-math.inf, math.inf])))
+    lo, hi = min(t, s), max(t, s)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    layout = draw(st.sampled_from(["far", "between", "cycle"]))
+    if layout == "far":  # the rest of the tail at s: its mean as far from t as can be
+        rest = [s] * 62
+    else:
+        units = [rng.random() for _ in range(62)]
+        rest = [lo + (hi - lo) * u for u in units]
+    odd = rest[:30] + [s, t]
+    even = rest[30:]
+    if layout == "cycle":  # the even half sits elsewhere, and settles
+        centre = t * draw(st.floats(-10.0, 10.0))
+        even = [centre * (1.0 + tol * (u - 0.5)) for u in units[:32]]
+    tail = [v for pair in zip(even, odd) for v in pair]
+    assert tail[-1] == t and tail[-3] == s
+    return tail, tol
+
+
+@given(tails_near_the_reject_bound())
+@settings(max_examples=500, deadline=None)
+def test_the_reject_changes_no_report(case):
+    tail, tol = case
+    module = sys.modules["ratiodyn.simulate"]
+    traj = RatioTrajectory(tail, COMPLETED)
+    live = detect_ratio_limit(traj, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_far_apart", lambda t, s, tol: False)
+        full = detect_ratio_limit(traj, tol)
+    assert repr(live) == repr(full)
+
+
 def test_empirical_budget_validation():
     with pytest.raises(ValueError):
         empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.0, 10)
