@@ -341,13 +341,13 @@ def _cmd_sweep(args, out):
 
     def row(value):
         # a row prints class and rule only, so it skips classify's oracle note
-        v, _ = _theorem_verdict(params_at(value), 1.0, args.x0_ratio, args.steps, args.tol)
+        v, _ = _theorem_verdict(params[value], 1.0, args.x0_ratio, args.steps, args.tol)
         return f"{fmt(value)},{v.asymptotic_class},{v.rule}\r\n"
 
-    # the checks every row makes, and the first row's parameters, before
-    # the header: an argument that cannot work leaves stdout empty
+    # the checks every row makes, and every row's parameters, before the
+    # header: an argument that cannot work leaves stdout empty
     _check_walk(1.0, args.x0_ratio, args.steps, args.tol)
-    params_at(grid[0])
+    params = {value: params_at(value) for value in grid}
     out.write(f"{name},class,rule\r\n")
     n = _worker_count(args.threads, len(grid))
     if n == 1:

@@ -8,9 +8,11 @@ is readable); direct-space values are reconstructed only on demand.
 from __future__ import annotations
 
 import math
-from array import array
+import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, takewhile
+from operator import mul
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -60,23 +62,11 @@ _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step
 #: absolute slack, in units of a window's largest |x|, of the log-space
 #: precheck in _stabilized (its proof is there)
 _SETTLE_SLACK = 1e-13
-#: the unit roundoff of a double, in the error bounds of _closed_class
-_U = 2.0 ** -53
-#: _closed_class takes a sign as certain only where |x| times this exceeds
-#: the error bound of x, and scales its lower bounds by it
-_SURE = 1.0 - 32 * _U
-#: the most steps past the known ratios that _closed_class answers for: it
-#: keeps steps * u <= 2^-13, which its bound on the oracle's summation error
-#: needs
-_CLOSED_MAX_STEPS = 2 ** 40
-#: ln 10, for 1 - 10^-G = -expm1(-G ln 10) in _closed_class
-_LN10 = math.log(10.0)
 #: _far_apart's factor on its bound of a passing test's mean, 1 + 2^-40
 _MEAN_PAD = 1.0 + 2.0 ** -40
-#: _first_open_chunk decides a chunk only where every |t| in it lies in
-#: [1 / _MODERATE, _MODERATE]: then no partial product of up to
-#: ORACLE_CHUNK = 256 of them leaves the normal floats (256 * 3.9 < 1022)
-_MODERATE = 2.0 ** 3.9
+#: the least normal double, 2^-1022
+_TINY = sys.float_info.min
+_LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -362,13 +352,9 @@ def detect_ratio_limit(traj: RatioTrajectory, tol: float = TAIL_TOL) -> LimitRep
 
 
 def _trend_lag(length):
-    """How many steps back _trend looks in logs of this length: a tenth of
-    them, at least 10."""
+    """How many steps back the oracle's trend looks from step length - 1: a
+    tenth of the steps, at least 10."""
     return min(max(10, int(length * 0.1)), length - 1)
-
-
-def _trend(logs):
-    return logs[-1] - logs[-1 - _trend_lag(len(logs))]
 
 
 def _apart(logs, signs, tol):
@@ -394,9 +380,15 @@ def _apart(logs, signs, tol):
     is rounded.  Every l is finite here, and 10^(l - L) <= 1 cannot
     overflow.
     """
-    top = max(logs[-TAIL_WINDOW:])
-    g = abs(signs[-1] * 10.0 ** (logs[-1] - top) - signs[-3] * 10.0 ** (logs[-3] - top))
-    return g > 2.0 * tol + _SETTLE_SLACK
+    return _far(max(logs[-TAIL_WINDOW:]), logs[-1], logs[-3], signs[-1] != signs[-3], tol)
+
+
+def _far(top, last, third, flip, tol):
+    """_apart's test from the window's largest log ``top``, logs[-1],
+    logs[-3] and whether signs[-1] and signs[-3] differ: g is the float
+    |s 10^(last - top) - s' 10^(third - top)|, as negation is exact."""
+    a, b = 10.0 ** (last - top), 10.0 ** (third - top)
+    return (a + b if flip else abs(a - b)) > 2.0 * tol + _SETTLE_SLACK
 
 
 def _stabilized(logs, signs, tol):
@@ -420,228 +412,78 @@ def _stabilized(logs, signs, tol):
     return None
 
 
-def _certain_sign(x, err):
-    """The sign of a value within ``err`` of the float x, or 0 where ``err``
-    leaves it open; |x| _SURE > err also covers the rounding of x itself."""
-    if abs(x) * _SURE <= err:
-        return 0
-    return 1 if x > 0.0 else -1
+def _partial_logs(ratios, first):
+    """log10 |p_j| for the products p_j = ratios[0] * ... * ratios[j], from
+    j = first on, and whether the last p_j is negative.
 
-
-def _surely_apart(scale, gap, tol):
-    """Whether _apart's test passes for sure at a chunk end c, given floats
-    within a few ulps of lower bounds on 10^(l_c - top) (``scale``) and on
-    |1 - x_(c-2) / x_c| (``gap``), both taken in the loop's float logs l.
-
-    The g of _apart is within 16 u of their product (see _closed_class),
-    and _SURE = 1 - 32 u covers those few ulps and the product's roundings.
+    The p_j are the floats of a left-to-right product with exact exponents.
+    Where every partial product stays a normal float they are the plain
+    products.  Elsewhere each step keeps a mantissa m in [0.5, 1) and an
+    exponent e, and rescales m with math.frexp: a product of normal floats
+    rounds the same at any scale, so these are the plain products wherever
+    those stay normal.  A p_j is read as log10 |p_j| where it is a normal
+    float, else as log10 |m| + e log10 2.  Raises ValueError where a ratio
+    is 0 or not finite.
     """
-    return scale * gap * _SURE - 16 * _U > 2.0 * tol + _SETTLE_SLACK
+    n = len(ratios)
+    least = min(ratios)
+    positive = least > 0.0  # and so is every partial product
+    if not positive:
+        least = min(map(abs, ratios))
+    # a product of n ratios of size >= least < 1 keeps a size of at least
+    # least^n (1 - 2^-53)^n, so none falls below 2^-1022
+    if min(1.0, least) ** n > 2.0 * _TINY:
+        ps = [*accumulate(ratios[first + 1 :], mul, initial=math.prod(ratios[: first + 1]))]
+        normal = True
+    else:  # look at every partial product
+        ps = [*accumulate(ratios, mul)]
+        normal = min(map(abs, ps)) >= _TINY
+        ps = ps[first:]
+    # an overflow stays inf to the last product
+    if normal and abs(ps[-1]) < math.inf:
+        return [*map(math.log10, ps if positive else map(abs, ps))], ps[-1] < 0.0
+    if not all(0.0 < abs(t) < math.inf for t in ratios):
+        raise ValueError("a ratio is 0 or not finite")
+    logs, m, e = [], 1.0, 0
+    for j, t in enumerate(ratios):
+        f, g = math.frexp(t)
+        m, h = math.frexp(m * f)
+        e += g + h
+        if j >= first:
+            # m 2^e is a normal float for these e
+            normal = -1021 <= e <= 1024
+            logs.append(math.log10(abs(math.ldexp(m, e))) if normal else math.log10(abs(m)) + e * _LOG10_2)
+    return logs, m < 0.0
 
 
-def _closed_class(logs, known, cycle, budget, tol):
-    """The oracle's answer from the checks it has left once its ratios
-    repeat a float cycle, or None where a margin is too thin to tell.
-
-    ``logs`` are empirical_class's log10 |x_n|, up to the step ``done``
-    where its current chunk starts.  ``known`` are the known ratios of that
-    chunk, and every ratio after them repeats ``cycle``, oldest first.  The
-    answer is the one the chunk loop gives: at each chunk end c left, up to
-    ``budget``, the same tests in the same order, decided from the cycle
-    without building the logs.  None is returned at the first test that
-    cannot be decided, and then the loop runs as before.  The signs the
-    tests need follow from the ratios.
-
-    Closed form.  Let i0 be the step of the last known ratio, l0 the
-    loop's log10 |x_i0|, k = len(cycle), L_j = log10 |cycle[j]| (the floats
-    the loop adds) and n = c - i0 >= 1.  The loop's l_c = log10 |x_c| is
-    the float sum, left to right, of l0 and L_(i mod k) for i < n.  With
-    n = q k + r its exact value is S(n) = l0 + q D + P[r], where
-    D = sum L_j and P[r] = L_0 + ... + L_(r-1).  Let u = 2^-53 and
-    A(n) = |l0| + (n/k + 1) |D| + 130 sum |L_j|, which bounds |S(m)| for
-    m <= n and twice any sum of up to 64 consecutive L_j.
-
-    - Each of the loop's additions errs by at most u times its exact
-      result (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-      ed., SIAM 2002, section 4.2), which lies within e of some S(m).  So
-      e = max |l_m - S(m)| over the steps i0 < m <= c is at most
-      n u (A(n) + e), and e <= 2 n u A(n), since n <= _CLOSED_MAX_STEPS
-      keeps n u <= 2^-13.  So every such |l_m| is under 2 A(n).
-    - The float (l0 + q fsum(L)) + H[r], with H the running float sums of
-      L, errs from S(n) by at most 6 u A(n): fsum is correctly rounded,
-      H[r] errs by at most k u sum |L_j| <= u A(n) / 2, and the product
-      and the two sums add a rounding each.
-    - err = (4 n + 256) u A(n) bounds the error of l_c - theta, and of
-      l_c - l_(c - K) with l_(c - K) known exactly at or before i0 or in
-      closed form past it (two errors of at most (2 n + 6) u A(n)), with
-      room for the rounding of err.  A sign is taken as certain where
-      |x| (1 - 32 u) > err (_certain_sign), which covers x's own rounding.
-
-    Tests at each chunk end c, in the loop's order.
-
-    - lm > THETA_UP and _trend > 0, then lm < THETA_DOWN and _trend < 0.
-      The float a - b has the sign of a - b, so _trend's sign is that of
-      l_c - l_(c - K), K = _trend_lag(c + 1).  A test whose outcome is
-      open returns None; the second cannot fire where the first is open,
-      since both read the same sign of _trend.
-    - _stabilized, from c = 2 TAIL_WINDOW - 1 on, is certified to return
-      None through _apart, whose g must then exceed
-      thr = 2 tol + _SETTLE_SLACK.  Its g is within 16 u of
-      |s_c 10^(l_c - top) - s_(c-2) 10^(l_(c-2) - top)|, with top the
-      largest l over the window c - 63 .. c: each power is at most 1 and
-      errs by 4 u from pow (as _apart's proof takes it) and 0.4 u from its
-      rounded exponent, and their difference adds a rounding of at most
-      2.1 u.  That is at least 10^-Y
-      where x_c and x_(c-2) differ in sign, and 10^-Y (1 - 10^-G) where
-      they agree, for any Y >= top - l_c and G <= |l_c - l_(c-2)|
-      (x - 1 >= 1 - 1/x for x >= 1).  Their signs agree where the ratios at
-      c and c - 1 have one sign.  Between i0 and c the loop's l_c - l_(c-j)
-      is the exact sum B_j of the last j cycle logs up to j roundings of
-      at most 2 u A(n) each; the float B_j adds at most 32 u A(n) more.  So
-      Y = max_j (-B_j) + 256 u A(n) over j < 64: a per-phase maximum of
-      partial sums, the same for every c with one n mod k.  Where the
-      window reaches back to i0 the known logs l_m join in, as
-      (l_m - l0) - B_n, with |max l_m - l0| added to A(n) to cover the
-      rounding of that difference.  G = |L + L'| (1 - 32 u) - 4 u A(n)
-      for the two cycle logs that end at c, off from l_c - l_(c-2) by the
-      loop's two roundings.  The float 10^-Y (1 - 10^-G) (1 - 32 u) errs
-      low, pow and expm1 erring by a few ulps, so g > thr where it
-      exceeds thr + 16 u (_surely_apart).
-
-    If every test passes through ``budget``, the answer is UNDETERMINED.
-    """
-    done = len(logs) - 1
-    try:
-        # summed left to right from logs[done], as the loop sums them
-        prior = [*accumulate(map(math.log10, map(abs, known)), initial=logs[-1])]
-    except ValueError:
-        return None
-    l0 = prior[-1]
-    i0 = done + len(known)
-    if not math.isfinite(l0) or budget - i0 > _CLOSED_MAX_STEPS:
-        return None
-    k = len(cycle)
-    steps = [math.log10(abs(t)) for t in cycle]
-    drift = math.fsum(steps)
-    heads = [*accumulate(steps, initial=0.0)]
-    size = 130 * math.fsum(map(abs, steps))
-    # the cycle's logs newest first, long enough for a window from any phase
-    back = steps[::-1] * (TAIL_WINDOW // k + 2)
-    windows = {}  # n mod k -> (max_j -B_j, |L + L'|, whether x_c, x_(c-2) share a sign)
-
-    def log_at(n):
-        """l_(i0 + n): known exactly for n <= 0, in closed form past it."""
-        if n <= 0:
-            m = i0 + n
-            return logs[m] if m <= done else prior[m - done]
-        q, r = divmod(n, k)
-        return l0 + q * drift + heads[r]
-
-    for c in chain(range(done + ORACLE_CHUNK, budget, ORACLE_CHUNK), (budget,)):
-        n = c - i0
-        scale = abs(l0) + (n / k + 1) * abs(drift) + size
-        err = (4 * n + 256) * _U * scale
-        lm = log_at(n)
-        rise = _certain_sign(lm - log_at(n - _trend_lag(c + 1)), err)
-        high = _certain_sign(lm - THETA_UP, err)
-        if high > 0 and rise > 0:
-            return DIVERGES_TO_INFINITY
-        low = _certain_sign(lm - THETA_DOWN, err)
-        if low < 0 and rise < 0:
-            return CONVERGES_TO_ZERO
-        if not ((high < 0 or rise < 0) and (low > 0 or rise > 0)):
-            return None
-        if c + 1 < 2 * TAIL_WINDOW:
-            continue
-        phase = n % k
-        window = windows.get(phase) if n >= TAIL_WINDOW else None
-        if window is None:
-            sums = [*accumulate(back[k - phase :][: min(n, TAIL_WINDOW - 1)], initial=0.0)]
-            a, b = (phase - 1) % k, (phase - 2) % k
-            window = (-min(sums), abs(steps[a] + steps[b]), (cycle[a] < 0.0) == (cycle[b] < 0.0))
-            if n >= TAIL_WINDOW:
-                windows[phase] = window
-            else:  # the window reaches back to step i0: its known logs join in
-                known_top = max(map(log_at, range(n - TAIL_WINDOW + 1, 1))) - l0
-                scale += abs(known_top)
-                window = (max(window[0], known_top - sums[-1]), *window[1:])
-        drop, pair, same = window  # drop: how far l_c lies below the window's top
-        apart = 1.0
-        if same:
-            dist = pair * _SURE - 4 * _U * scale
-            if dist <= 0.0:
-                return None
-            apart = -math.expm1(-dist * _LN10)
-        if not _surely_apart(10.0 ** -(drop + 256 * _U * scale), apart, tol):
-            return None
-    return UNDETERMINED
+def _read(ratios):
+    """What the checks read of a chunk's ratios alone: the log10 |p_j| of
+    its last TAIL_WINDOW partial products p_j (_partial_logs), or of all
+    where it holds fewer, their largest, whether its product is negative,
+    and whether its last two ratios differ in sign."""
+    logs, negative = _partial_logs(ratios, max(0, len(ratios) - TAIL_WINDOW))
+    flip = len(ratios) > 1 and (ratios[-1] < 0.0) != (ratios[-2] < 0.0)
+    return logs, max(logs), negative, flip
 
 
-def _first_open_chunk(values, budget, tol, lm):
-    """The step where the first oracle chunk starts whose checks the chunk
-    products cannot decide, or ``budget`` where they decide every one.
+def _log_at(recent, j):
+    """log10 |x_j| for a step j in one of the chunks in ``recent``, as
+    _window takes them."""
+    d, lm, _, ratios = next(r for r in recent if j <= r[0] + len(r[3]))
+    return lm + _partial_logs(ratios[: j - d], j - d - 1)[0][0]
 
-    ``values`` are the walk's ratios, t_0 first, through step ``budget``
-    at least, and ``lm`` is log10 |x_0|.  At each chunk end c the chunk
-    loop of empirical_class tests lm > THETA_UP, lm < THETA_DOWN and
-    _stabilized.  A chunk counts as decided where none of them can answer:
-    the loop then only extends its logs and signs, which are rebuilt where
-    it takes over.
 
-    Let u = 2^-53, l_m the loop's float log10 |x_m|, and take math.log10
-    to within 4 ulps, |fl(log10 y) - log10 y| <= 8 u |log10 y|, as _apart
-    takes pow.  The estimate l of l_c starts at the loop's own l_0 and
-    adds fl(log10 |P|), P = math.prod(chunk), per chunk.
-
-    - A finite nonzero P means every ratio of the chunk is a finite
-      nonzero float.  The chunk is decided only where every |t| lies in
-      [1 / _MODERATE, _MODERATE], so |log10 |t|| < 1.175 and the sum of
-      those of one chunk is under 302, and no partial product of its at
-      most 256 ratios leaves the normal floats: P is the exact product up
-      to a factor (1 + theta), |theta| <= 256 u.
-    - Per chunk the loop's 256 or fewer additions err by at most
-      u (|l_done| + 302) each (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2), and its
-      logs by 8 u 1.175 each.  The estimate errs by at most 112 u from
-      theta, 8 u 302 from log10 and u (|l| + 302) from its addition.  So
-      err grows by u (260 (|l| + err) + 2^17) per chunk, which also covers
-      the rounding of err itself.
-    - Where l - THETA_UP and l - THETA_DOWN have a certain sign within err
-      (_certain_sign), -12 < l_c < 12 and neither THETA test fires.
-    - _apart passes where g exceeds 2 tol + _SETTLE_SLACK (_surely_apart).
-      Every ratio up to c passed the guard, and |l_c| < 12, so the window's
-      logs stay under 86 in size, and l_c - l_j differs from the exact sum
-      of the log10 |t| in between by at most 96 u per step: 6048 u over
-      the window's 63 ratios, 192 u over the last two.  With m the least
-      |t| of those 63, 10^(l_c - top) >= min(1, m)^63 (1 - 13,926 u),
-      which the float pow times (1 - 2^14 u) stays below.  With
-      r = 1 / (t_c t_(c-1)), |r| < 223, |1 - x_(c-2)/x_c| is
-      |1 - r 10^-eta| for |eta| <= 192 u, at least |1 - r| - 99,400 u; the
-      float |1 - r| errs by at most 674 u, so it stays above that less
-      2^17 u, even after that subtraction's rounding.
-    """
-    err = 0.0
-    for done in range(0, budget, ORACLE_CHUNK):
-        c = min(done + ORACLE_CHUNK, budget)
-        chunk = values[done + 1 : c + 1]
-        p = math.prod(chunk)
-        if not 0.0 < abs(p) < math.inf:
-            return done
-        err += (260 * (abs(lm) + err) + 2 ** 17) * _U
-        lm += math.log10(abs(p))
-        if not _certain_sign(lm - THETA_UP, err) < 0 < _certain_sign(lm - THETA_DOWN, err):
-            return done
-        lo, hi = min(chunk), max(chunk)
-        if lo < 0.0:  # else every ratio is positive: these bound |t| too
-            lo, hi = min(map(abs, chunk)), max(map(abs, chunk))
-        if not (1.0 / _MODERATE <= lo and hi <= _MODERATE):
-            return done
-        least = min(map(abs, values[c - TAIL_WINDOW + 2 : c + 1]))
-        scale = min(1.0, least) ** (TAIL_WINDOW - 1) * (1.0 - 2 ** 14 * _U)
-        gap = abs(1.0 - 1.0 / (values[c] * values[c - 1])) - 2 ** 17 * _U
-        if not _surely_apart(scale, gap, tol):
-            return done
-    return budget
+def _window(recent):
+    """The logs and signs of the last 2 TAIL_WINDOW steps of the chunks in
+    ``recent``, each (d, lm, s, ratios): the chunk that starts at step d,
+    with log10 |x_d| and the sign of x_d."""
+    logs, signs = [], []
+    for _, lm, s, ratios in reversed(recent):
+        first = max(0, len(ratios) + len(logs) - 2 * TAIL_WINDOW)
+        logs[:0] = [lm + lp for lp in _partial_logs(ratios, first)[0]]
+        signs[:0] = _signs(s, ratios)[first + 1 :]
+        if len(logs) == 2 * TAIL_WINDOW:
+            return logs, signs
 
 
 def empirical_class(
@@ -659,6 +501,16 @@ def empirical_class(
     a confirming trend over the trailing 10% of steps; bounded orbits are
     called once their tail (or its even/odd split) stabilizes.
 
+    The checks run at the end c of each ORACLE_CHUNK-step chunk and at
+    ``budget``.  They read one magnitude: log10 |x_c| is the float sum, chunk
+    by chunk, of log10 |P| for the product P of each chunk's ratios, and at
+    a step j inside the chunk that starts at d, log10 |x_j| is log10 |x_d|
+    plus log10 |t_(d+1) ... t_j|.  The products are taken left to right
+    with exact exponents (``_partial_logs``).  The trend looks back from c
+    to step c - _trend_lag(c + 1); the tail checks read the last
+    2 TAIL_WINDOW steps, and skip a window whose last values cannot settle
+    (``_apart``).
+
     ``values`` are ratios already walked from this start with these
     ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
     ``array("d")``.  The oracle reads them chunk by chunk and applies
@@ -666,24 +518,11 @@ def empirical_class(
     the start gives.  Without them it knows only ``t_0``.  ``tol`` is the
     tail tolerance, finite and nonnegative.
 
-    Every ratio past them comes from ``walk_on``, as in ``classify``: a
-    float cycle the ratios close on is replayed, and its log10 |t| summed in
-    the same order.  A check that the last values cannot pass (``_apart``)
-    is skipped.  Once the ratios past the known ones repeat a float cycle,
-    the checks left are decided from the cycle's k ratios (_closed_class):
-    log10 |x_n| gains the cycle's sum of log10 |t| every k steps, and each
-    check is answered in closed form with a proven margin for the rounding
-    of the sums it replaces.  Where a margin is too thin, the chunks are
-    summed and checked as before.
-
-    Where ``values`` cover the whole budget, as for a walk of ``classify``
-    that never settled, the chunks are read first from their products
-    alone (_first_open_chunk): a chunk counts as decided where log10 |x_n|,
-    known within a proven bound from the products so far, stays inside
-    (THETA_DOWN, THETA_UP), and the last two ratios and the least of the
-    last 63 prove that ``_apart`` passes.  At the first chunk they cannot
-    decide, the logs and signs up to it are summed as the loop sums them,
-    and the loop runs from there.  None of these changes an answer.
+    Every ratio past them comes from ``walk_on``, as in ``classify``.  Past
+    a closed float cycle of period k, a chunk repeats the ratios of the
+    chunk k / gcd(k, ORACLE_CHUNK) chunks before it: what its checks read of
+    its ratios is taken once per phase and replayed, which gives the floats
+    a fresh read gives.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -695,67 +534,59 @@ def empirical_class(
         raise ValueError("values must start at x0 / x_minus1")
     walked = values  # the latest ratios known
     k = None  # the period of the float cycle they closed on, once they have
-    # flat arrays: a 1e5-step walk keeps ~0.9 MB here, not ~4 MB of objects
-    logs = array("d", [math.log10(abs(x0))])
-    signs = array("b", [1 if x0 > 0 else -1])
-    start = 0
-    if len(values) > budget:
-        # the walk covers the budget: chunk products decide the quiet chunks,
-        # and the loop takes over, with its own logs and signs, at the first
-        # chunk they cannot decide
-        start = _first_open_chunk(values, budget, tol, logs[0])
-        if start == budget:
-            return UNDETERMINED
-        known = values[1 : start + 1]
-        logs.fromlist([*accumulate(map(math.log10, map(abs, known)), initial=logs.pop())])
-        signs = array("b", _signs(signs[0], known))
-    for done in range(start, budget, ORACLE_CHUNK):
-        n = min(ORACLE_CHUNK, budget - done)
+    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> _read
+    # the chunks a later check reads, as _window takes them: the trend looks
+    # back at most _trend_lag(budget + 1) steps.  Their reads are not kept:
+    # ~40 lists of logs held alive slowed all of classify by ~5%.
+    recent = deque(maxlen=_trend_lag(budget + 1) // ORACLE_CHUNK + 3)
+    lm, s, done = math.log10(abs(x0)), (1 if x0 > 0 else -1), 0
+    for c in chain(range(ORACLE_CHUNK, budget, ORACLE_CHUNK), (budget,)):
+        n = c - done
         # a slice, not a copy of the whole walk; the walk goes on past its end
-        ratios = values[done + 1 : done + 1 + n]
-        steps = None  # log10 |t| of each ratio, when the cycle's are at hand
-        stopped = False
+        ratios = values[done + 1 : c + 1]
+        key = None
         if len(ratios) < n:
-            closing = k is None
             more, k, stopped = walk_on(params, walked, n - len(ratios), k)
-            if k and closing:
-                # every ratio past ``ratios`` repeats the cycle walked[-k:]
-                verdict = _closed_class(logs, ratios, walked[-k:], budget, tol)
-                if verdict is not None:
-                    return verdict
-            if k and not ratios:  # a chunk replayed whole: its log10 |t| repeat with the cycle
-                cycle_logs = [math.log10(abs(r)) for r in walked[-k:]]
-                steps = (cycle_logs * (n // k + 1))[:n]
+            if k and not ratios:
+                # a chunk of the cycle, whose k floats are distinct: its first
+                # ratio tells its phase
+                key = (n, more[0])
             ratios = walked = [*ratios, *more]
-        if steps is None:
-            steps = map(math.log10, map(abs, ratios))
-        start = len(logs)
-        try:
-            # left to right, as a walk sums them
-            logs.fromlist([*accumulate(steps, initial=logs.pop())])
-        except ValueError:  # log10(0): x_n = 0, and the next step divides by it
-            return ITERATION_STOPS
-        if not math.isfinite(logs[-1]):
-            # a sum that left the finite floats never returns; the first one decides
-            lost = next(lm for lm in logs[start:] if not math.isfinite(lm))
-            if math.isnan(lost):  # a ratio that is not a number tells nothing
-                return UNDETERMINED
-            return DIVERGES_TO_INFINITY if lost > 0 else CONVERGES_TO_ZERO
-        if stopped:
-            return ITERATION_STOPS
-        if min(ratios) > 0.0:
-            signs.extend(array("b", [signs[-1]]) * len(ratios))
-        else:
-            signs.fromlist(_signs(signs.pop(), ratios))
-        lm = logs[-1]
-        if lm > THETA_UP and _trend(logs) > 0.0:
-            return DIVERGES_TO_INFINITY
-        if lm < THETA_DOWN and _trend(logs) < 0.0:
-            return CONVERGES_TO_ZERO
-        if len(logs) >= 2 * TAIL_WINDOW:
-            verdict = _stabilized(logs, signs, tol)
+            if stopped:  # at a finite ratio: an inf is followed by nan, which never stops
+                return ITERATION_STOPS
+        read = reads.get(key)
+        if read is None:
+            try:
+                read = _read(ratios)
+            except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
+                if 0.0 in ratios:
+                    return ITERATION_STOPS
+                # else the first ratio that is not finite decides: inf overflows
+                # x_n, and from nan no trend can be read
+                lost = next(t for t in ratios if not math.isfinite(t))
+                return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
+            if key:
+                reads[key] = read
+        logs, top, negative, flip = read
+        last = lm + logs[-1]  # log10 |x_c|
+        recent.append((done, lm, s, ratios))
+        if last > THETA_UP or last < THETA_DOWN:
+            ahead = _trend_lag(c + 1)  # the trend looks back to step c - ahead
+            if ahead < len(logs):  # a partial product the chunk's read holds
+                rise = last - (lm + logs[-1 - ahead])
+            else:
+                rise = last - _log_at(recent, c - ahead)
+            if last > THETA_UP and rise > 0.0:
+                return DIVERGES_TO_INFINITY
+            if last < THETA_DOWN and rise < 0.0:
+                return CONVERGES_TO_ZERO
+        # where the chunk holds the window's last TAIL_WINDOW steps, _far is
+        # the _apart of its window
+        if n < TAIL_WINDOW or not _far(lm + top, last, lm + logs[-3], flip, tol):
+            verdict = _stabilized(*_window(recent), tol)
             if verdict is not None:
                 return verdict
+        lm, s, done = last, (-s if negative else s), c
     return UNDETERMINED
 
 

@@ -42,7 +42,7 @@ from ratiodyn.ratio_map import (
     Equilibrium, Parameters, critical_points, equilibria, fixed_point_poly, phi,
     phi_prime,
 )
-from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class
+from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class, iterate_ratio
 from ratiodyn.tolerances import EPS_SEARCHED, ROOT_TOL, TAIL_TOL
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
@@ -795,15 +795,13 @@ def test_the_certificate_declines_where_it_proves_nothing():
 
 
 def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeypatch):
-    """The oracle's chunk products (simulate._first_open_chunk) and the
-    proximity pass's skip give, call by call, the answers of the passes
-    they skip, on the calls classify makes; a walk that closes on a cycle
-    that never settles stops at closure and never reaches the proximity
-    pass."""
-    sim, module = sys.modules["ratiodyn.simulate"], sys.modules["ratiodyn.classify"]
-    oracle, proximity = module.empirical_class, module._proximity_identify
-    first_open = sim._first_open_chunk
-    opened, fired = [], {"_spans_rule_out": 0, "_settles_nowhere": 0}
+    """The proximity pass's skip gives, call by call, the answers of the
+    pass it skips, on the calls classify makes; a walk that closes on a
+    cycle that never settles stops at closure and never reaches the
+    proximity pass."""
+    module = sys.modules["ratiodyn.classify"]
+    proximity = module._proximity_identify
+    fired = {"_spans_rule_out": 0, "_settles_nowhere": 0}
     proximities = [0]
 
     def spying(name):
@@ -815,17 +813,6 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
             return out
         return spy
 
-    def opening(values, budget, tol, lm):
-        opened.append((first_open(values, budget, tol, lm), budget))
-        return opened[-1][0]
-
-    def both_oracles(*args, **kwargs):
-        monkeypatch.setattr(sim, "_first_open_chunk", opening)
-        live = oracle(*args, **kwargs)
-        monkeypatch.setattr(sim, "_first_open_chunk", lambda values, budget, tol, lm: 0)
-        assert oracle(*args, **kwargs) == live, args
-        return live
-
     def both_proximities(*args):
         proximities[0] += 1
         live = proximity(*args)
@@ -834,22 +821,19 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
             assert proximity(*args) == live, args
         return live
 
-    monkeypatch.setattr(module, "empirical_class", both_oracles)
     monkeypatch.setattr(module, "_proximity_identify", both_proximities)
     for name in fired:
         monkeypatch.setattr(module, name, spying(name))
 
-    # Example A's orbits are decided from their chunk products throughout
     for x0 in (0.85, 1.5, 2.2):
         v = classify(NEUTRAL_EXAMPLE, 1.0, x0)
         assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
-        assert opened[-1] == (100000, 100000)
     proximities[0] = 0
     for params, x0 in CLOSED_WALKS:
         assert classify(params, 1.0, x0).rule == "oracle"
     assert fired["_settles_nowhere"] == len(CLOSED_WALKS) and proximities[0] == 0
-    # a shorter budget keeps the neutral orbits quick; the fast path and
-    # the skips read only walks that reach it
+    # a shorter budget keeps the neutral orbits quick; the skips read only
+    # walks that reach it
     rng = random.Random(29)
     inputs = surface_draws(rng, 40, 1) + surface_draws(rng, 40, -1) + [
         (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
@@ -861,8 +845,7 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
             classify(params, 1.0, x0, budget=20000)
         except PairingError:
             pass
-    ends = {end == budget for end, budget in opened}
-    assert ends == {True, False} and fired["_spans_rule_out"] > 0
+    assert fired["_spans_rule_out"] > 0
 
 
 def box_inputs(seed, count):
@@ -969,3 +952,51 @@ def test_walks_that_never_settle_stop_at_closure(monkeypatch):
     v, calls = rooting_calls(monkeypatch, *box[966])
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
     assert walked == [3072] and calls == {"equilibria": 1, "find_two_cycles": 1}
+
+
+def test_the_oracle_replays_a_closed_walk_as_the_map_walks_it(monkeypatch):
+    """Past a closed float cycle the oracle reads each chunk phase once and
+    replays it; with closure off it applies the map instead.  The answers
+    agree on every oracle call classify makes, with the ratios its walk
+    hands over."""
+    sim, module = sys.modules["ratiodyn.simulate"], sys.modules["ratiodyn.classify"]
+    oracle, walk_on, closed = module.empirical_class, sim.walk_on, sim.closed_period
+    replays = [0]
+
+    def counting(*args):
+        ratios, k, stopped = walk_on(*args)
+        replays[0] += k is not None
+        return ratios, k, stopped
+
+    def both(*args, **kwargs):
+        live = oracle(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "closed_period", lambda ratios: None)
+            assert oracle(*args, **kwargs) == live, args
+        return live
+
+    monkeypatch.setattr(module, "empirical_class", both)
+    monkeypatch.setattr(sim, "walk_on", counting)
+    rng = random.Random(37)
+    # a shorter budget keeps the neutral orbits quick
+    surfaces = surface_draws(rng, 60, 1) + surface_draws(rng, 60, -1)
+    for params, x0, kw in (
+        [(params, x0, {}) for params, x0 in box_inputs(0, 3000) + CLOSED_WALKS]
+        + [(params, x0, {"budget": 20000}) for params, x0 in surfaces]
+    ):
+        try:
+            classify(params, 1.0, x0, **kw)
+        except (PairingError, RootIsolationError, DegeneracyError, ArithmeticError):
+            pass
+    assert replays[0] > 2000
+    # a set whose orbit closes on a float equilibrium below 1 within the
+    # 128 steps classify walks (T1.b): the replayed chunks carry |x_n| down
+    params = Parameters(1.8735548947633112, 1.2325292611871794, -4.712512640018497, 2.5034530814965654)
+    v = classify(params, 1.0, 2.5525424378480763)
+    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "T1.b")
+    assert v.notes == "oracle=" + CONVERGES_TO_ZERO
+    # a unit-product cycle (T2.c1): the float orbit closes at step 694 on a
+    # cycle whose product is 1 to within a rounding; the replayed tail settles
+    walk = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 700).values
+    assert closed(walk) == 2
+    assert both(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 20000, 1e-12, values=walk) == CONVERGES_TO_TWO_CYCLE

@@ -159,9 +159,13 @@ def test_a_tolerance_that_cannot_work_exits_one(argv, capsys):
         [*SWEEP_9, "--steps", "0"],
         ["sweep", "--params", "C,1.79,-2,1", "--c-range", "0:1:3"],
         ["sweep", "--params", "C,1.79,-2,1", "--c-range", "0:1:3", "--threads", "2"],
+        # the row at a = 1 is fine, the one at a = -1 is not
+        ["sweep", "--params", "C,1.79,-2,1", "--c-range", "1:-1:3", "--steps", "2000"],
+        ["sweep", "--params", "C,1.79,-2,1", "--c-range", "1:-1:3", "--steps", "2000",
+         "--threads", "2"],
     ],
     ids=["negative_start", "infinite_start", "no_steps", "first_row_a_zero",
-         "first_row_a_zero_forked"],
+         "first_row_a_zero_forked", "last_row_negative", "last_row_negative_forked"],
 )
 def test_a_sweep_that_cannot_start_writes_nothing(argv, capsys):
     code, out = run_cli(*argv)

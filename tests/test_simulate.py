@@ -2,19 +2,14 @@ import math
 import random
 import sys
 from array import array
-from fractions import Fraction
-from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratiodyn.classify import classify
-from ratiodyn.cycles import PairingError
 from ratiodyn.outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
     CONVERGES_TO_TWO_CYCLE,
-    CONVERGES_TO_ZERO,
     DIVERGES_TO_INFINITY,
     ITERATION_STOPS,
     UNDETERMINED,
@@ -283,38 +278,62 @@ def test_solution_stops_at_a_zero_ratio():
         assert traj.signs == [1, 1]
 
 
-def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
+def recording_checks(monkeypatch):
+    """The arguments of every tail check the oracle reads at a chunk end
+    (simulate._far, once per chunk of TAIL_WINDOW ratios or more): the
+    log10 |x_n| at the window's top, at its end and two steps before, and
+    whether x_n and x_(n-2) differ in sign."""
     module = sys.modules["ratiodyn.simulate"]
-    stabilized = module._stabilized
+    far, seen = module._far, []
+
+    def recording(top, last, third, flip, tol):
+        seen.append((top, last, third, flip))
+        return far(top, last, third, flip, tol)
+
+    monkeypatch.setattr(module, "_far", recording)
+    return seen
+
+
+def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
+    seen = recording_checks(monkeypatch)
 
     def checks(**kwargs):
-        """What the oracle decides on at each chunk: the step count, the last
-        log10 |x_n| and the last sign."""
-        seen = []
-
-        def recording(logs, signs, tol):
-            seen.append((len(logs), logs[-1], signs[-1]))
-            return stabilized(logs, signs, tol)
-
-        monkeypatch.setattr(module, "_stabilized", recording)
-        return empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, **kwargs), seen
+        seen.clear()
+        return empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, **kwargs), [*seen]
 
     walk = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 6000).values
-    # a walk that covers the budget is decided from its chunk products
-    # without a check; its answer is compared, and its trace with them
-    # declined
-    covered = [empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, values=walk[:k]) for k in (5001, 6001)]
-    assert covered == [UNDETERMINED] * 2
-    monkeypatch.setattr(module, "_first_open_chunk", lambda values, budget, tol, lm: 0)
     alone = checks()
-    assert alone[0] == UNDETERMINED and len(alone[1]) == 5000 // 256 + 1
-    # the oracle's logs start at x_0, the trajectory's at x_{-1}
+    ends = [*range(256, 5000, 256), 5000]
+    assert alone[0] == UNDETERMINED and len(alone[1]) == len(ends)
+    # the oracle's log10 |x_n| come from chunk products, the trajectory's
+    # from per-step sums; |log10 |x_n|| stays under 3 here, so each errs
+    # by under 5000 steps * 4 * 3 * 2^-53 < 1e-11, and the signs agree
     traj = iterate_solution(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000)
-    assert alone[1] == [(n, traj.log_magnitudes[n], traj.signs[n]) for n, _, _ in alone[1]]
-    # prefixes that end inside a chunk, on its boundary, and past the budget
+    logs, signs = traj.log_magnitudes, traj.signs  # x_n at index n + 1
+    assert max(map(abs, logs)) < 3.0
+    for c, (top, last, third, flip) in zip(ends, alone[1]):
+        assert abs(top - max(logs[c - 62 : c + 2])) < 1e-11, c
+        assert abs(last - logs[c + 1]) < 1e-11 and abs(third - logs[c - 1]) < 1e-11, c
+        assert flip == (signs[c + 1] != signs[c - 1]), c
+    # prefixes that end inside a chunk, on its boundary, and past the
+    # budget give the same floats at every check
     for k in (1, 2, 200, 256, 257, 700, 5001, 6001):
         assert checks(values=walk[:k]) == alone, k
         assert checks(values=array("d", walk[:k])) == alone, k
+
+
+@pytest.mark.parametrize("check", [256, 768], ids=["in_the_read_window", "before_it"])
+def test_the_trend_looks_back_its_exact_lag(check):
+    """|x_n| sits above 1e12 and shrinks by 1e-6 a step, but for one ratio
+    of 10: the trend at a check rises only where that ratio comes after the
+    step it looks back to.  At 256 that step lies among the last
+    TAIL_WINDOW of its chunk, whose logs the chunk's read holds; at 768 it
+    lies before them."""
+    back = check - sys.modules["ratiodyn.simulate"]._trend_lag(check + 1)
+    for step, want in [(back + 1, DIVERGES_TO_INFINITY), (back, UNDETERMINED)]:
+        values = [1e13] + [1.0 - 1e-6] * 1000
+        values[step] = 10.0
+        assert empirical_class(None, 1.0, 1e13, 1000, values=values) == want, step
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
@@ -518,22 +537,18 @@ LONG_REPLAYS = [
 
 def test_empirical_replay_gives_the_walked_answer(monkeypatch):
     module = sys.modules["ratiodyn.simulate"]
-    closed, stabilized = module.closed_period, module._stabilized
-    periods, seen = [], []
+    closed, periods = module.closed_period, []
+    seen = recording_checks(monkeypatch)
 
     def spy(ratios):
         periods.append(closed(ratios))
         return periods[-1]
 
-    def recording(logs, signs, tol):
-        seen.append((len(logs), logs[-1], signs[-1]))
-        return stabilized(logs, signs, tol)
-
     def answers(params, x0):
-        """The oracle's answers, and the last log10 |x_n| and sign at each
-        chunk, from starts with t_0 = x0 and from prefixes of the walk that
-        end before it closes, inside an oracle chunk after that, and on a
-        chunk boundary."""
+        """The oracle's answers, and what it read at each chunk end, from
+        starts with t_0 = x0 and from prefixes of the walk that end before
+        it closes, inside an oracle chunk after that, and on a chunk
+        boundary."""
         walk = iterate_ratio(params, x0, 3000).values
         starts = [(1.0, x0, None), (2.0, 2.0 * x0, None), (-1.0, -x0, None)]
         starts += [(1.0, x0, walk[:k]) for k in (20, 2500, 2561)]
@@ -545,146 +560,54 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
                 out.append((answer, [*seen]))
         return out
 
-    monkeypatch.setattr(module, "_stabilized", recording)
+    # past closure each chunk phase is read once and replayed; the floats
+    # it reads are those of the walk that applies the map throughout
     monkeypatch.setattr(module, "closed_period", spy)
-    # the closed form decides past the cycle without calling _stabilized,
-    # so only its answers are compared; the chunk loop's trace is compared
-    # with the closed form declined
-    live = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
-    monkeypatch.setattr(module, "_closed_class", lambda *args: None)
     replayed = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
     assert {k for k in periods if k} == {k for _, _, k in LONG_REPLAYS}
     monkeypatch.setattr(module, "closed_period", lambda ratios: None)
     assert [answers(params, x0) for params, x0, _ in LONG_REPLAYS] == replayed
-    assert [[a for a, _ in out] for out in live] == [[a for a, _ in out] for out in replayed]
 
 
-def box_draws(rng, n):
-    """``n`` (params, x0) draws from the fuzz box of the benchmark."""
-    return [
-        (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
-                    rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0)), rng.uniform(0.2, 5.0))
-        for _ in range(n)
-    ]
+# a tiny-a set whose ratio orbit reaches the 2-cycle {1e-35, 2e104}, of
+# product 2e69; the kernel's cube of 2e104 overflows, and the walk stops
+# at the 0 after it (ROADMAP item 11)
+TINY_A_CYCLE = Parameters(1e-35, 0.3, -3.0, 0.2)
 
 
-def test_the_closed_form_answers_as_the_chunk_loop(monkeypatch):
+def test_a_product_that_leaves_the_normal_floats_keeps_its_exponent(monkeypatch):
+    walk = iterate_ratio(TINY_A_CYCLE, 0.5, 20).values
+    assert walk[-3:] == [1e-35, 2.0000000000000003e104, 0.0]
+    # the walk as a ratio step that does not overflow would go on: the
+    # 2-cycle, whose partial products pass 1e308 within the first chunk
+    q = walk[-2]
+    p = TINY_A_CYCLE.a + (TINY_A_CYCLE.b + (TINY_A_CYCLE.c + TINY_A_CYCLE.d / q) / q) / q
+    assert p == 1e-35
+    over = walk[:-1] + [p, q] * 600
+    # and ratios whose running product falls below 2^-1022 and back
+    dip = [1.0] + [1.1, 0.9] * 600
+    dip[10:14] = [1e-160, 1e-160, 1e160, 1e160]
     module = sys.modules["ratiodyn.simulate"]
-    closed_class = module._closed_class
-    closed = []  # what each call of the closed form answered
-
-    def spy(*args):
-        closed.append(closed_class(*args))
-        return closed[-1]
-
-    def both(*args, **kwargs):
-        """The oracle's answer with the closed form live, once it equals
-        the chunk loop's."""
-        monkeypatch.setattr(module, "_closed_class", spy)
-        live = empirical_class(*args, **kwargs)
-        monkeypatch.setattr(module, "_closed_class", lambda *args: None)
-        assert empirical_class(*args, **kwargs) == live, args
-        return live
-
-    # the oracle calls of classify, with the ratios its walk hands over
-    monkeypatch.setattr(sys.modules["ratiodyn.classify"], "empirical_class", both)
-    for tol in (1e-8, 1e-9):
-        for i in range(200):
-            classify(Parameters(0.1, 1.79, -3.0 + 2.0 * i / 199, 1.0), 1.0, 1.3, tol=tol)
-    for params, x0 in box_draws(random.Random(23), 500):
-        try:
-            classify(params, 1.0, x0)
-        except PairingError:
-            pass
-    # other starts, budgets with a short last chunk, and prefixes that end
-    # before the cycle closes, inside an oracle chunk after that, and on a
-    # chunk boundary
-    for params, x0, _ in LONG_REPLAYS:
-        walk = iterate_ratio(params, x0, 3000).values
-        starts = [(1.0, x0, None), (2.0, 2.0 * x0, None), (-1.0, -x0, None), (1.0, -x0, None)]
-        starts += [(1.0, x0, walk[:k]) for k in (20, 2500, 2561)]
-        for xm1, y0, values in starts:
-            for budget, tol in [(1000, 0.0), (5000, 1e-15), (20001, 1e-6), (100000, 1e-8)]:
-                both(params, xm1, y0, budget, tol, values=values)
-    decided = [answer for answer in closed if answer is not None]
-    assert 2 * len(decided) > len(closed)
-    assert {CONVERGES_TO_ZERO, DIVERGES_TO_INFINITY, UNDETERMINED} <= set(decided)
-
-    # a set whose orbit closes on a float equilibrium below 1 within the
-    # 128 steps classify walks (T1.b): the closed form reads the drift down
-    closed.clear()
-    params = Parameters(1.8735548947633112, 1.2325292611871794, -4.712512640018497, 2.5034530814965654)
-    v = classify(params, 1.0, 2.5525424378480763)
-    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "T1.b")
-    assert closed == [CONVERGES_TO_ZERO]
-    # a unit-product cycle (T2.c1): the float orbit closes at step 694 on a
-    # cycle whose product is 1 to within a rounding, so no drift shows; the
-    # closed form declines and the chunk loop sees the tail settle
-    closed.clear()
-    walk = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 700).values
-    assert closed_period(walk) == 2
-    assert both(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 20000, 1e-12, values=walk) == CONVERGES_TO_TWO_CYCLE
-    assert closed == [None]
-
-
-@st.composite
-def closed_walks(draw):
-    """(values, budget, tol): ratios from t_0 = x_0 whose tail repeats a
-    float cycle of 1 to 8 distinct ratios, of mixed signs, whose log10 |t|
-    sum to a drift per cycle from 0 to 0.1 decades.  x_0 starts anywhere
-    from 1e-14 to 1e14, so that some orbits sit near THETA_UP or
-    THETA_DOWN.  A walk that closed repeats its cycle whatever the map, so
-    the oracle never applies one here."""
-    k = draw(st.integers(1, 8))
-    logs = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
-    drift = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
-    logs[-1] = -math.fsum(logs[:-1]) + drift * draw(st.sampled_from([-1.0, 1.0]))
-    cycle = [draw(st.sampled_from([1.0, -1.0])) * 10.0 ** e for e in logs]
-    assume(len(set(cycle)) == k)
-    start = [10.0 ** draw(st.floats(-14.0, 14.0))]
-    start += draw(st.lists(st.floats(0.1, 10.0), max_size=300))
-    # the cycle closes, and the known ratios end anywhere in an oracle chunk
-    values = start + cycle * draw(st.integers(2, 40)) + cycle[: draw(st.integers(0, k - 1))]
-    budget = draw(st.sampled_from([1000, 1299, 5000, 20001]))
-    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]))
-    return values, budget, tol
-
-
-@given(closed_walks())
-@settings(max_examples=300, deadline=None)
-def test_the_closed_form_answers_as_the_chunk_loop_near_its_margins(walk):
-    values, budget, tol = walk
-    module = sys.modules["ratiodyn.simulate"]
-    live = empirical_class(None, 1.0, values[0], budget, tol, values=values)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_closed_class", lambda *args: None)
-        assert empirical_class(None, 1.0, values[0], budget, tol, values=values) == live
-
-
-def test_the_chunk_loop_sums_within_the_closed_form_bound():
-    """The bound _closed_class reads: past a closed float cycle, the loop's
-    float log10 |x_c| lies within 2 n u A(n) of the exact closed form, and
-    the float closed form within 6 u A(n) of it."""
-    u = Fraction(1, 2**53)
-    for params, x0, k in LONG_REPLAYS:
-        walk = iterate_ratio(params, x0, 20000).values
-        logs = iterate_solution(params, 1.0, x0, 20000).log_magnitudes[1:]
-        i0 = next(i for i in range(2, len(walk)) if closed_period(walk[: i + 1]))
-        cycle = walk[i0 - k + 1 : i0 + 1]
-        assert closed_period(walk[: i0 + 1]) == k and walk[i0 + 1 : i0 + 1 + k] == cycle
-        steps = [math.log10(abs(t)) for t in cycle]
-        drift = sum(map(Fraction, steps))
-        size = sum(abs(Fraction(s)) for s in steps)
-        heads = [sum(map(Fraction, steps[:r])) for r in range(k)]
-        running = [*accumulate(steps, initial=0.0)]
-        for c in range(256 * (i0 // 256 + 1), len(logs), 256):
-            n = c - i0
-            q, r = divmod(n, k)
-            exact = Fraction(logs[i0]) + q * drift + heads[r]
-            bound = abs(Fraction(logs[i0])) + (Fraction(n, k) + 1) * abs(drift) + 130 * size
-            assert abs(Fraction(logs[c]) - exact) <= 2 * n * u * bound, (k, c)
-            closed = logs[i0] + q * math.fsum(steps) + running[r]
-            assert abs(Fraction(closed) - exact) <= 6 * u * bound, (k, c)
+    frexp, rescaled = math.frexp, []
+    monkeypatch.setattr(math, "frexp", lambda x: rescaled.append(x) or frexp(x))
+    u = 2.0 ** -53
+    # the plain product overflows, or keeps a normal float but has lost
+    # digits below 2^-1022 on the way
+    assert abs(math.prod(over[1:257])) == math.inf
+    assert sys.float_info.min < math.prod(dip[1:257]) < 1.0 and 0.0 < 1e-160 * 1e-160 < sys.float_info.min
+    for values in (over, dip):
+        chunk = values[1:257]
+        logs, negative = module._partial_logs(chunk, 0)
+        assert rescaled  # the frexp path
+        # within the roundings of 256 products and of the per-step logs
+        steps = [math.log10(abs(t)) for t in chunk]
+        for j, lp in enumerate(logs):
+            exact = math.fsum(steps[: j + 1])
+            assert abs(lp - exact) <= 8 * u * (j + 1 + math.fsum(map(abs, steps[: j + 1]))), j
+        assert negative == (sum(t < 0.0 for t in chunk) % 2 == 1)
+        rescaled.clear()
+    assert empirical_class(TINY_A_CYCLE, 1.0, 0.5, 1000, values=over) == DIVERGES_TO_INFINITY
+    assert empirical_class(None, 1.0, 1.0, 1000, values=dip) == UNDETERMINED
 
 
 def window_from(xs):
@@ -756,67 +679,3 @@ def test_precheck_skips_only_tails_that_cannot_settle(window):
     module = sys.modules["ratiodyn.simulate"]
     if module._apart(logs, signs, tol):
         assert settles_without_precheck(logs, signs, tol) is None
-
-
-def decline_chunk_products(*args):
-    """empirical_class with its chunk-product path declined."""
-    module = sys.modules["ratiodyn.simulate"]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_first_open_chunk", lambda values, budget, tol, lm: 0)
-        return empirical_class(*args[:-1], values=args[-1])
-
-
-def test_a_chunk_whose_partial_product_leaves_the_normal_floats_declines():
-    module = sys.modules["ratiodyn.simulate"]
-    # x_n swings by a factor 1.1 and drifts down by 1% every two steps
-    walk = [1.0] + [1.1, 0.9] * 501
-    assert module._first_open_chunk(walk, 1000, 1e-8, 0.0) == 1000
-    # four ratios whose running product goes subnormal and back, while the
-    # chunk's product stays a normal float
-    odd = [*walk]
-    odd[10:14] = [1e-160, 1e-160, 1e160, 1e160]
-    assert 0.0 < 1e-160 * 1e-160 < sys.float_info.min
-    assert sys.float_info.min < abs(math.prod(odd[1:257])) < 1.0
-    assert module._first_open_chunk(odd, 1000, 1e-8, 0.0) == 0
-    # and later in the walk, after chunks that it decides
-    odd = [*walk]
-    odd[600:604] = [1e-160, 1e-160, 1e160, 1e160]
-    assert module._first_open_chunk(odd, 1000, 1e-8, 0.0) == 512
-    for values in (walk, odd):
-        assert empirical_class(None, 1.0, 1.0, 1000, values=values) == decline_chunk_products(
-            None, 1.0, 1.0, 1000, values
-        )
-
-
-@st.composite
-def covering_walks(draw):
-    """(values, budget, tol): ratios from t_0 = x_0 through the budget and a
-    little past it.  x_n drifts by ``drift`` decades a step and swings by
-    10^(+-wobble), with relative noise, and at times one ratio has another
-    sign or size.  x_0 starts within 1e-13 to 1e-4 decades of THETA_UP or
-    THETA_DOWN, or between them, and |1 - 1/(t t')| runs from below the
-    threshold 2 tol + 1e-13 of _apart to far above it."""
-    budget = draw(st.sampled_from([1000, 1299, 2048]))
-    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]))
-    sign = st.sampled_from([-1.0, 1.0])
-    lm0 = draw(st.sampled_from([-12.0, -11.99, 0.0, 11.99, 12.0]))
-    lm0 += draw(st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1e-4])) * draw(sign)
-    drift = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])) * draw(sign)
-    wobble = draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
-    noise = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    values = [10.0 ** lm0]
-    for i in range(budget + 2):
-        swing = wobble if i % 2 else -wobble
-        values.append(10.0 ** (drift + swing) * (1.0 + noise * rng.uniform(-1.0, 1.0)))
-    if draw(st.booleans()):
-        values[draw(st.integers(1, budget))] = draw(st.sampled_from([-1.0, -0.5, 20.0, 0.01]))
-    return values, budget, tol
-
-
-@given(covering_walks())
-@settings(max_examples=300, deadline=None)
-def test_the_chunk_products_answer_as_the_chunk_loop_near_its_margins(walk):
-    values, budget, tol = walk
-    live = empirical_class(None, 1.0, values[0], budget, tol, values=values)
-    assert live == decline_chunk_products(None, 1.0, values[0], budget, tol, values)
