@@ -38,6 +38,7 @@ from .ratio_map import (
 from .simulate import (
     DECREASING,
     INCREASING,
+    LimitReport,
     RatioTrajectory,
     COMPLETED,
     _check_tail_tol,
@@ -298,6 +299,8 @@ def _landing_index(values, points):
 
 
 def _nearest_equilibrium(eqs, value):
+    if not math.isfinite(value):  # inf - inf <= MATCH_TOL inf would match anything
+        return None
     best = None
     for e in eqs:
         if abs(e.value - value) <= MATCH_TOL * max(1.0, abs(value)):
@@ -307,6 +310,8 @@ def _nearest_equilibrium(eqs, value):
 
 
 def _nearest_cycle(cycles, lo, hi):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
     for cyc in cycles:
         if (
             abs(cyc.p - lo) <= MATCH_TOL * max(1.0, abs(lo))
@@ -345,9 +350,10 @@ def _slope_bound(params, lo, hi):
 def _certify(det, params):
     """The equilibrium or 2-cycle that the settled tail ``det`` points at,
     where phi (or phi∘phi) provably contracts a window around the tail into
-    itself and the limit lies off the unit band; else None.  It names the
-    limit _identify's root matching would name, without rooting a polynomial,
-    and only where the verdict is T1.a, T1.b, T2.a or T2.b.
+    itself and the limit lies off the unit band, with the rate L and the
+    residual r below; else None.  It names the limit _identify's root
+    matching would name, without rooting a polynomial, and only where the
+    verdict is T1.a, T1.b, T2.a or T2.b.
 
     Equilibrium, tail mean m.  Let I = [m - w, m + w] with
     w = MATCH_TOL max(1, m), the window _nearest_equilibrium searches.  If
@@ -425,14 +431,15 @@ def _certify(det, params):
             return None
         rate = _slope_bound(params, lo, hi)
         f, pad = _phi_padded(params, m)
+        r = (abs(f - m) + pad) * _UP
         if not (
             rate < 1.0 - EPS_SEARCHED
-            and (abs(f - m) + pad) * _UP <= (1.0 - rate) * w * _DOWN
+            and r <= (1.0 - rate) * w * _DOWN
             and abs(phi(params, m) - m) <= EPS_SEARCHED * max(1.0, m)
         ):
             return None
         mu = phi_prime(params, m)
-        return Equilibrium(m, mu, classify_multiplier(mu))
+        return Equilibrium(m, mu, classify_multiplier(mu)), rate, r
 
     p, q = det.values
     w = MATCH_TOL * max(1.0, p)
@@ -465,7 +472,106 @@ def _certify(det, params):
         and abs(phi(params, f) - p) <= EPS_SEARCHED * max(1.0, p)
     ):
         return None
-    return TwoCycle(p, f, p * f, phi_prime(params, p) * phi_prime(params, f), False)
+    return TwoCycle(p, f, p * f, phi_prime(params, p) * phi_prime(params, f), False), rate, r
+
+
+def _in_basin(params, values, done, budget, tol):
+    """The equilibrium off the unit band that the walk's ratios converge to
+    from t = values[-1], the ratio at the check c = ``done``, where the
+    walk's verdict is provably that equilibrium's (T1.a or T1.b); else
+    None.  It runs _certify's equilibrium branch centred on t before the
+    detector reads the check's window, and names the equilibrium only where
+    the three conditions below hold, so that the walk may stop at c.
+
+    Notation.  u = 2^-53, T = max(1, t), w = MATCH_TOL T, J = [t - w, t + w]
+    and scale = T - w, rounded down.  A float mean of at most 64 finite
+    values in [x, y] lies in [x - gamma V, y + gamma V], V the largest |v|
+    and gamma = 64 u / (1 - 64 u) < 2^-46 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2; the division
+    by 32 or 64 is exact).  The probe requires 32 tol <= MATCH_TOL, that is
+    8 tol T <= w / 4, and a check at ``budget`` whose window starts g >= 0
+    steps past c.  Every later check but the one at ``budget`` lies at
+    least TAIL_WINDOW steps past the one before it, so every later window
+    lies in steps c, c + 1, ....
+
+    Contraction.  _certify holds at t: with L >= sup |phi'| on J and
+    r >= |phi(t) - t|, L < 1 - EPS_SEARCHED, r <= (1 - L) w and J lies off
+    the unit band on one side.  So J holds exactly one equilibrium e*, and
+    |t - e*| <= r + L |t - e*| gives |t - e*| <= dev = r / (1 - L).  The
+    walk's float phi(s) errs by at most 10 u A(s) for s in J (_certify),
+    and A decreases in s, so by at most P, the pad _phi_padded gives at
+    J's low end.  Let noise = P / (1 - L) and D = dev + noise.  Each bound
+    below is a float rounded to its safe side by _UP or _DOWN, as in
+    _certify, and tol is a normal float, as condition 1 requires.
+
+    1. |t - s| + 2^-45 T <= 7 tol T, s = values[-2]: this check reports no
+       2-cycle.  Its 2-cycle test holds t in the window's odd half and s in
+       the even half.  It passes only where each half spreads by at most
+       fl(tol M_h) <= tol M (1 + 3u), M_h = max(1, |half mean|) <= M =
+       max(1, |me|, |mo|), and |me - mo| > 10 tol M (1 - 3u).  The mean
+       bound gives |mo - t| + |me - s| <= 2 tol M (1 + 3u)(1 + gamma) +
+       gamma (|t| + |s|), and then M (1 + 1.01 tol) >= t (1 - gamma), so
+       M >= 0.9999 T.  Together, |t - s| (1 + gamma) + 2 gamma t > 7.98 tol T,
+       which the test rules out, as 2 gamma t < 2^-45 T.
+    2. r + P <= (1 - L) w and D + 2^-45 T <= 4 tol scale: the float walk
+       stays in J, and no later check reports a 2-cycle.  For a float s in
+       J, |fl(phi(s)) - t| <= P + L |s - t| + r <= w, so every ratio from c
+       on lies in J, none is 0 or not finite, and by induction
+       |t_(c+g) - e*| <= L^g dev + P (1 + L + ... + L^(g-1)) <= L^g dev +
+       noise <= D.  So a later window lies in [e* - D, e* + D], its half
+       means differ by at most 2 D + 2 gamma (e* + D) < 8 tol scale, and
+       each exceeds t - w, as D <= 4 tol T <= w / 8: so M >= scale, and
+       10 tol M (1 - 3u) exceeds that difference.
+    3. 2 (L^g dev + noise) <= tol scale, g = budget - 63 - c: the check at
+       ``budget`` reports an equilibrium.  Its window lies in
+       [e* - B, e* + B], B = L^g dev + noise, so it spreads by at most 2 B,
+       and its mean, finite, exceeds t - w as above, so the equilibrium
+       test's bound is at least tol scale (1 - u).
+
+    The verdict.  By 1 to 3 the walk from c reports at each check no limit
+    or an equilibrium, and an equilibrium at ``budget`` at the latest.  Any
+    mean m it reports lies within w / 4 of t: at c, |m - t| <=
+    1.0001 tol T + 1.01 gamma T <= w / 16; later, |m - e*| <= D + gamma
+    (t + D) and |e* - t| <= dev, so |m - t| < 2 D + 2^-46 T < 8 tol T.
+    Where _certify names a limit at m, its window and J share m, so it
+    lies on J's side of the band.  Where it declines, the roots are
+    matched: granted that the quartic's root search returns each positive
+    equilibrium within w / 8 (the premise of _certify's claim), e*'s root
+    lies within w / 2 of m, inside the match window of at least 0.99 w, and
+    every other one, outside J, more than 5 w / 8 away, so
+    _nearest_equilibrium names e*'s, which lies in J.  A
+    named limit that an early check does not accept only lets the walk go
+    on.  A float cycle the walk closes on lies within noise of e*, as its
+    values recur at every later step, so every rotation of it settles (3),
+    and _settles_nowhere declines.  At step CHUNK, e*'s root has |phi'| <= L,
+    so a limit is a candidate.  So the walk ends at a detection that names
+    an equilibrium on J's side, and its verdict is this one's.
+    """
+    t, s = values[-1], values[-2]
+    big = t if t > 1.0 else 1.0
+    # condition 1 first, as it rejects most walks that have not settled; a
+    # nan t fails here, an infinite one in _certify, and tol = 0 here
+    if not abs(t - s) + 2.0 ** -45 * big <= 7.0 * tol * big:
+        return None
+    g = budget - TAIL_WINDOW + 1 - done
+    if not (g >= 0 and 32.0 * tol <= MATCH_TOL):
+        return None
+    w = MATCH_TOL * big
+    certified = _certify(LimitReport("equilibrium", (t,), 0.0), params)
+    if certified is None:
+        return None
+    eq, rate, r = certified
+    gap = (1.0 - rate) * _DOWN  # at most 1 - L
+    pad = _phi_padded(params, (t - w) * _DOWN)[1]
+    dev, noise = r / gap * _UP, pad / gap * _UP
+    scale = (big - w) * _DOWN
+    if not (
+        (r + pad) * _UP <= gap * w * _DOWN
+        and (dev + noise) * _UP + 2.0 ** -45 * big <= 4.0 * tol * scale * _DOWN
+        and 2.0 * (rate ** g * dev + noise) * _UP <= tol * scale * _DOWN
+    ):
+        return None
+    return eq
 
 
 class _Limits:
@@ -503,7 +609,8 @@ def _identify(det, limits):
     (None, None) when it names no known one.  The contraction certificate
     names a hyperbolic limit off the unit band without rooting; the roots
     are matched only where it declines."""
-    named = _certify(det, limits.params)
+    certified = _certify(det, limits.params)
+    named = certified and certified[0]
     if det.kind == "equilibrium":
         # ``limits.eqs()`` holds every positive equilibrium, and a ratio orbit
         # from a positive start never settles on a negative one t = -s.  For
@@ -748,7 +855,12 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     maps a window around the tail into itself, under outward-rounded
     bounds, so the window holds exactly one limit, which attracts, and the
     limit (or the cycle's product) lies off 1 by more than the band.  The
-    verdict is then T1.a, T1.b, T2.a or T2.b.  Otherwise each polynomial is
+    verdict is then T1.a, T1.b, T2.a or T2.b.  Before the detector reads a
+    check's window, the same certificate is tried on the window around the
+    last ratio (_in_basin): where it proves that the walk stays in that
+    window, that no check reports a 2-cycle and that an equilibrium test
+    passes within the budget, the walk stops with that equilibrium's
+    verdict, the one it would reach later.  Otherwise each polynomial is
     rooted at most once, and only when the walk first reads it: the
     fixed-point quartic when a tail the certificate declines names an
     equilibrium, or when the walk reaches step 1024 (or ends sooner) with no
@@ -793,6 +905,9 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         if stopped:
             return Verdict(ITERATION_STOPS, "oracle", notes="ratio reached the zero guard"), values
         done = check
+        eq = _in_basin(params, values, done, budget, tol)
+        if eq is not None:
+            return classify_equilibrium_limit(params, eq), values
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
             eq, cyc = _identify(det, limits)

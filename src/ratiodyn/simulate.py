@@ -412,19 +412,10 @@ def _stabilized(logs, signs, tol):
     return None
 
 
-def _partial_logs(ratios, first):
-    """log10 |p_j| for the products p_j = ratios[0] * ... * ratios[j], from
-    j = first on, and whether the last p_j is negative.
-
-    The p_j are the floats of a left-to-right product with exact exponents.
-    Where every partial product stays a normal float they are the plain
-    products.  Elsewhere each step keeps a mantissa m in [0.5, 1) and an
-    exponent e, and rescales m with math.frexp: a product of normal floats
-    rounds the same at any scale, so these are the plain products wherever
-    those stay normal.  A p_j is read as log10 |p_j| where it is a normal
-    float, else as log10 |m| + e log10 2.  Raises ValueError where a ratio
-    is 0 or not finite.
-    """
+def _products(ratios, first):
+    """The products p_j = ratios[0] * ... * ratios[j] from j = first on, as
+    the plain left-to-right floats, and whether every ratio is positive;
+    None where a partial product leaves the normal floats."""
     n = len(ratios)
     least = min(ratios)
     positive = least > 0.0  # and so is every partial product
@@ -434,14 +425,42 @@ def _partial_logs(ratios, first):
     # least^n (1 - 2^-53)^n, so none falls below 2^-1022
     if min(1.0, least) ** n > 2.0 * _TINY:
         ps = [*accumulate(ratios[first + 1 :], mul, initial=math.prod(ratios[: first + 1]))]
-        normal = True
     else:  # look at every partial product
         ps = [*accumulate(ratios, mul)]
-        normal = min(map(abs, ps)) >= _TINY
+        if not min(map(abs, ps)) >= _TINY:
+            return None
         ps = ps[first:]
     # an overflow stays inf to the last product
-    if normal and abs(ps[-1]) < math.inf:
-        return [*map(math.log10, ps if positive else map(abs, ps))], ps[-1] < 0.0
+    return (ps, positive) if abs(ps[-1]) < math.inf else None
+
+
+def _logs_of(ps, positive):
+    """log10 |p| for each of the products ``ps``."""
+    return [*map(math.log10, ps if positive else map(abs, ps))]
+
+
+def _partial_logs(ratios, first):
+    """log10 |p_j| for the products p_j = ratios[0] * ... * ratios[j], from
+    j = first on, and whether the last p_j is negative.
+
+    The p_j are the floats of a left-to-right product with exact exponents.
+    Where every partial product stays a normal float they are the plain
+    products (_products).  Elsewhere each step keeps a mantissa m in
+    [0.5, 1) and an exponent e, and rescales m with math.frexp: a product of
+    normal floats rounds the same at any scale, so these are the plain
+    products wherever those stay normal.  A p_j is read as log10 |p_j| where
+    it is a normal float, else as log10 |m| + e log10 2.  Raises ValueError
+    where a ratio is 0 or not finite.
+    """
+    plain = _products(ratios, first)
+    if plain is not None:
+        return _logs_of(*plain), plain[0][-1] < 0.0
+    return _frexp_logs(ratios, first)
+
+
+def _frexp_logs(ratios, first):
+    """_partial_logs by mantissa and exponent, for ratios whose partial
+    products leave the normal floats."""
     if not all(0.0 < abs(t) < math.inf for t in ratios):
         raise ValueError("a ratio is 0 or not finite")
     logs, m, e = [], 1.0, 0
@@ -456,14 +475,42 @@ def _partial_logs(ratios, first):
     return logs, m < 0.0
 
 
-def _read(ratios):
+class _Read:
     """What the checks read of a chunk's ratios alone: the log10 |p_j| of
     its last TAIL_WINDOW partial products p_j (_partial_logs), or of all
-    where it holds fewer, their largest, whether its product is negative,
-    and whether its last two ratios differ in sign."""
-    logs, negative = _partial_logs(ratios, max(0, len(ratios) - TAIL_WINDOW))
-    flip = len(ratios) > 1 and (ratios[-1] < 0.0) != (ratios[-2] < 0.0)
-    return logs, max(logs), negative, flip
+    where it holds fewer, whether its product is negative, and whether its
+    last two ratios differ in sign.  Where the products stay normal floats
+    it keeps them, and logs only those a check reads: most checks return
+    from the 12-decade test on the last log and the trend's before the
+    window is read.  The logs are the floats _partial_logs gives."""
+
+    __slots__ = ("size", "negative", "flip", "_plain", "_logs", "_top")
+
+    def __init__(self, ratios):
+        first = max(0, len(ratios) - TAIL_WINDOW)
+        self.size = len(ratios) - first
+        self.flip = len(ratios) > 1 and (ratios[-1] < 0.0) != (ratios[-2] < 0.0)
+        self._plain = _products(ratios, first)
+        self._logs = self._top = None
+        if self._plain is None:
+            self._logs, self.negative = _frexp_logs(ratios, first)
+        else:
+            self.negative = self._plain[0][-1] < 0.0
+
+    def log(self, i):
+        """The log of the i-th of the kept products, counted as a list index."""
+        if self._logs is not None:
+            return self._logs[i]
+        return math.log10(abs(self._plain[0][i]))
+
+    def far(self, lm, tol):
+        """_far on the window of the chunk that starts at log10 |x| = lm."""
+        if self._top is None:
+            if self._logs is None:
+                self._logs = _logs_of(*self._plain)
+            self._top = max(self._logs)
+        logs = self._logs
+        return _far(lm + self._top, lm + logs[-1], lm + logs[-3], self.flip, tol)
 
 
 def _log_at(recent, j):
@@ -534,7 +581,7 @@ def empirical_class(
         raise ValueError("values must start at x0 / x_minus1")
     walked = values  # the latest ratios known
     k = None  # the period of the float cycle they closed on, once they have
-    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> _read
+    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> _Read
     # the chunks a later check reads, as _window takes them: the trend looks
     # back at most _trend_lag(budget + 1) steps.  Their reads are not kept:
     # ~40 lists of logs held alive slowed all of classify by ~5%.
@@ -557,7 +604,7 @@ def empirical_class(
         read = reads.get(key)
         if read is None:
             try:
-                read = _read(ratios)
+                read = _Read(ratios)
             except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
                 if 0.0 in ratios:
                     return ITERATION_STOPS
@@ -567,13 +614,12 @@ def empirical_class(
                 return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
             if key:
                 reads[key] = read
-        logs, top, negative, flip = read
-        last = lm + logs[-1]  # log10 |x_c|
+        last = lm + read.log(-1)  # log10 |x_c|
         recent.append((done, lm, s, ratios))
         if last > THETA_UP or last < THETA_DOWN:
             ahead = _trend_lag(c + 1)  # the trend looks back to step c - ahead
-            if ahead < len(logs):  # a partial product the chunk's read holds
-                rise = last - (lm + logs[-1 - ahead])
+            if ahead < read.size:  # a partial product the chunk's read holds
+                rise = last - (lm + read.log(-1 - ahead))
             else:
                 rise = last - _log_at(recent, c - ahead)
             if last > THETA_UP and rise > 0.0:
@@ -582,11 +628,11 @@ def empirical_class(
                 return CONVERGES_TO_ZERO
         # where the chunk holds the window's last TAIL_WINDOW steps, _far is
         # the _apart of its window
-        if n < TAIL_WINDOW or not _far(lm + top, last, lm + logs[-3], flip, tol):
+        if n < TAIL_WINDOW or not read.far(lm, tol):
             verdict = _stabilized(*_window(recent), tol)
             if verdict is not None:
                 return verdict
-        lm, s, done = last, (-s if negative else s), c
+        lm, s, done = last, (-s if read.negative else s), c
     return UNDETERMINED
 
 

@@ -1,6 +1,9 @@
+import json
 import math
 import random
 import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from ratiodyn.classify import (
     _Limits,
     _certify,
     _identify,
+    _in_basin,
     _landing_index,
     _mean_distance,
     _slope_bound,
@@ -42,8 +46,11 @@ from ratiodyn.ratio_map import (
     Equilibrium, Parameters, critical_points, equilibria, fixed_point_poly, phi,
     phi_prime,
 )
-from ratiodyn.simulate import DECREASING, INCREASING, LimitReport, empirical_class, iterate_ratio
-from ratiodyn.tolerances import EPS_SEARCHED, ROOT_TOL, TAIL_TOL
+from ratiodyn.simulate import (
+    COMPLETED, DECREASING, INCREASING, LimitReport, RatioTrajectory, detect_ratio_limit,
+    empirical_class, iterate_ratio,
+)
+from ratiodyn.tolerances import DEFAULT_BUDGET, EPS_SEARCHED, ROOT_TOL, TAIL_TOL, TAIL_WINDOW
 
 NEUTRAL_EXAMPLE = Parameters(0.2, 1.7, -2.0, 1.1)
 UNIT_CYCLE_EXAMPLE = Parameters(0.1, 1.79, -2.0, 1.0)
@@ -452,8 +459,15 @@ def first_periods(monkeypatch, params, x0, tol):
 
 
 def test_orbits_close_where_the_replay_tests_need(monkeypatch):
-    for period, params, x0 in CLOSING_ORBITS:
+    for period, params, x0 in CLOSING_ORBITS[1:]:
         assert first_periods(monkeypatch, params, x0, TAIL_TOL).get("classify") == period
+    # the period-1 orbit settles on an equilibrium above 1 and stops at step
+    # 64, where its ratio sits in the equilibrium's certified window
+    # (_in_basin): the oracle's walk on from there closes.  At tol = 0 the
+    # probe declines, and classify's own walk closes.
+    (period, params, x0), = CLOSING_ORBITS[:1]
+    assert first_periods(monkeypatch, params, x0, TAIL_TOL) == {"empirical_class": period}
+    assert first_periods(monkeypatch, params, x0, 0.0).get("classify") == period
     assert first_periods(monkeypatch, SWEEP_ROW, 1.3, ROOT_TOL) == {"empirical_class": 2}
 
 
@@ -473,6 +487,8 @@ def test_replay_gives_the_answers_of_the_plain_walk(monkeypatch):
     the verdicts and oracle answers of one that applies the map to its
     budget, and walks no further than it."""
     cases = [(params, x0, TAIL_TOL) for _, params, x0 in CLOSING_ORBITS]
+    # where the probe declines, classify's own walk replays the period-1 orbit
+    cases += [(params, x0, 0.0) for _, params, x0 in CLOSING_ORBITS[:1]]
     cases += [(SWEEP_ROW, 1.3, ROOT_TOL), (UNIT_CYCLE_EXAMPLE, 3.0, ROOT_TOL)]
     cases += [(params, x0, TAIL_TOL) for params, x0 in CLOSED_WALKS]
     module = sys.modules["ratiodyn.classify"]
@@ -561,6 +577,18 @@ def test_identify_names_no_limit_at_an_unknown_equilibrium():
     assert _identify(LimitReport("equilibrium", (neg,), 0.0), limits) == (None, None)
     (one,) = [e for e in equilibria(NEUTRAL_EXAMPLE) if abs(e.value - 1.0) <= 1e-6]
     assert _identify(LimitReport("equilibrium", (1.0,), 0.0), limits) == (one, None)
+
+
+def test_identify_names_no_limit_at_a_value_that_is_not_finite():
+    # inf - inf <= MATCH_TOL inf would match every limit
+    limits = _Limits(NEUTRAL_EXAMPLE)
+    for value in (math.inf, -math.inf, math.nan):
+        assert _identify(LimitReport("equilibrium", (value,), 0.0), limits) == (None, None)
+    unit = unit_product_cycle(UNIT_CYCLE_EXAMPLE)
+    limits = _Limits(UNIT_CYCLE_EXAMPLE)
+    for values in ((unit.p, math.inf), (math.nan, unit.q), (math.inf, math.inf)):
+        assert _identify(LimitReport("two_cycle", values, 0.0), limits) == (None, None)
+    assert _identify(LimitReport("two_cycle", (unit.p, unit.q), 0.0), limits)[1] is not None
 
 
 def test_landing_index_window():
@@ -701,6 +729,7 @@ def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
         # certificate reads only tails, which both runs walk alike
         out = []
         for params, x0 in inputs:
+            named.append(False)
             try:
                 out.append(classify(params, 1.0, x0, budget=2000))
             except PairingError:
@@ -711,10 +740,12 @@ def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
     real, named = module._certify, []
 
     def counting(det, params):
-        limit = real(det, params)
-        named.append(limit is not None)
-        return limit
+        certified = real(det, params)
+        named[-1] |= certified is not None
+        return certified
 
+    # the certificate runs both in the probe at each check (_in_basin) and
+    # on a settled tail (_identify); switched off, every limit is rooted
     monkeypatch.setattr(module, "_certify", counting)
     certified = verdicts()
     # most of these orbits settle on a hyperbolic limit off the unit band
@@ -764,8 +795,10 @@ def test_the_certificate_declines_where_it_proves_nothing():
 
     ones = Parameters(1.0, 1.0, 1.0, 1.0)
     (e,) = equilibria(ones)
-    named = _certify(eq(e.value), ones)
+    named, rate, r = _certify(eq(e.value), ones)
     assert isinstance(named, Equilibrium) and named.value == e.value
+    # the rate bounds |phi'| and r the residual |phi(m) - m|
+    assert abs(named.multiplier) <= rate < 1.0 and abs(phi(ones, e.value) - e.value) <= r
     # a tail at or below 0
     for m in (0.0, -0.5, -e.value):
         assert _certify(eq(m), ones) is None
@@ -780,8 +813,9 @@ def test_the_certificate_declines_where_it_proves_nothing():
         (c for c in find_two_cycles(UNIT_CYCLE_EXAMPLE) if c.product > 1.0 + EPS_SEARCHED),
         key=lambda c: abs(c.multiplier),
     )
-    named = _certify(cyc(attracting.p, attracting.q), UNIT_CYCLE_EXAMPLE)
+    named, rate, r = _certify(cyc(attracting.p, attracting.q), UNIT_CYCLE_EXAMPLE)
     assert isinstance(named, TwoCycle) and named.p == attracting.p
+    assert abs(named.multiplier) <= rate < 1.0
     assert named.q == pytest.approx(attracting.q, rel=1e-12)
     assert _certify(cyc(repelling.p, repelling.q), UNIT_CYCLE_EXAMPLE) is None
     # windows whose powers overflow or underflow, and parameters so small
@@ -1000,3 +1034,111 @@ def test_the_oracle_replays_a_closed_walk_as_the_map_walks_it(monkeypatch):
     walk = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.0, 700).values
     assert closed(walk) == 2
     assert both(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, 20000, 1e-12, values=walk) == CONVERGES_TO_TWO_CYCLE
+
+
+def golden_inputs():
+    """The inputs of the golden file (tests/data/classify_golden.json), as
+    (params, x0, classify's keyword arguments)."""
+    entries = json.loads(
+        (Path(__file__).parent / "data" / "classify_golden.json").read_text(encoding="utf-8")
+    )
+    return [(Parameters(*e["params"]), e["x0"], {"tol": e["tol"]}) for e in entries]
+
+
+def test_the_probe_changes_no_verdict(monkeypatch):
+    """Naming an equilibrium where the walk enters its certified window
+    (_in_basin) leaves every verdict, and every exception type, as the
+    walk without the probe gives it."""
+    rng = random.Random(41)
+    groups = {
+        "box": [(params, x0, {}) for params, x0 in box_inputs(0, 3000)],
+        "golden": golden_inputs(),
+        # a shorter budget keeps the neutral orbits quick
+        "surfaces": [
+            (params, x0, {"budget": 20000})
+            for params, x0 in surface_draws(rng, 60, 1) + surface_draws(rng, 60, -1)
+        ],
+    }
+    module = sys.modules["ratiodyn.classify"]
+    real, named = module._in_basin, dict.fromkeys(groups, 0)
+
+    def counting(*args):
+        eq = real(*args)
+        named[group] += eq is not None
+        return eq
+
+    monkeypatch.setattr(module, "_in_basin", counting)
+    live = []
+    for group, inputs in groups.items():
+        live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    # how many walks of each group stop at basin entry
+    assert named == {"box": 1947, "golden": 64, "surfaces": 14}
+    monkeypatch.setattr(module, "_in_basin", lambda *args: None)
+    inputs = [inp for inputs in groups.values() for inp in inputs]
+    plain = [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    differ = [(inp, v, w) for inp, v, w in zip(inputs, live, plain) if v != w]
+    assert differ == []
+
+
+def nearly_neutral(mu):
+    """A set whose one positive equilibrium, at 2, has the multiplier -mu."""
+    c = 4.0 * (mu - 0.4375)
+    return Parameters(1.375 - c / 4.0, 1.0, c, 1.0)
+
+
+def test_the_probe_declines_where_it_must(monkeypatch):
+    ones = Parameters(1.0, 1.0, 1.0, 1.0)
+    walk = array("d", iterate_ratio(ones, 1.5, 128).values)
+    assert _in_basin(ones, walk, 128, DEFAULT_BUDGET, TAIL_TOL) is not None
+    # tol = 0 settles no tail of two distinct floats; a tol so coarse that a
+    # detection could name a limit outside the window
+    assert _in_basin(ones, walk, 128, DEFAULT_BUDGET, 0.0) is None
+    assert _in_basin(ones, walk, 128, DEFAULT_BUDGET, 1e-4) is None
+    # no check within the budget reads a window that starts at the probe's
+    # step or later; at 191 the budget's check does
+    for budget in (128, 150, 190):
+        assert _in_basin(ones, walk, 128, budget, TAIL_TOL) is None
+    assert _in_basin(ones, walk, 128, 191, TAIL_TOL) is not None
+    # at step 64 the ratio sits 1.5e-7 (relative) from the equilibrium: at
+    # tol = 1e-7 the check at budget 127, which reads steps 64 to 127, may
+    # not settle yet, and a later one will
+    walk64 = walk[:65]
+    assert _in_basin(ones, walk64, 64, 127, 1e-7) is None
+    assert _in_basin(ones, walk64, 64, DEFAULT_BUDGET, 1e-7) is not None
+    # the same last ratio after a window that reports a 2-cycle
+    t = walk64[-1]
+    crafted = walk64[:-TAIL_WINDOW] + array("d", [1.5 * t, t] * (TAIL_WINDOW // 2))
+    assert detect_ratio_limit(RatioTrajectory(crafted, COMPLETED), 1e-7).kind == "two_cycle"
+    assert _in_basin(ones, crafted, 64, DEFAULT_BUDGET, 1e-7) is None
+    # a parameter outside [2^-50, 2^50], on walks settled to a few ulps of
+    # an equilibrium above 1; d = 2^-50 still passes
+    tiny = 2.0 ** -60
+    for params in (Parameters(1.0, 1.0, 1.0, tiny), Parameters(1.0, tiny, 1.0, 1.0),
+                   Parameters(1.0, 1.0, tiny, 1.0), TINY_A, Parameters(1.0, 1.0, 1.0, 2.0 ** -50)):
+        walk = array("d", iterate_ratio(params, 1.5, 1024).values)
+        assert 1.5 < walk[-1] == pytest.approx(walk[-2], rel=1e-14)
+        named = _in_basin(params, walk, 1024, DEFAULT_BUDGET, TAIL_TOL)
+        assert (named is not None) == (params.d == 2.0 ** -50), params
+    # Example A: the limit lies on the unit band
+    walk = array("d", iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 20000).values)
+    assert _in_basin(NEUTRAL_EXAMPLE, walk, 20000, DEFAULT_BUDGET, TAIL_TOL) is None
+    # nearly neutral equilibria at 2: at -mu = -0.9999999 the certificate
+    # declines; at -0.999 the slow alternating approach settles each half
+    # first, today's walk reports a 2-cycle it cannot name and ends with
+    # the oracle, and the probe declines at every check
+    module = sys.modules["ratiodyn.classify"]
+    real, named = module._in_basin, []
+    monkeypatch.setattr(module, "_in_basin", lambda *args: named.append(real(*args)) or named[-1])
+    for mu, rule in ((0.9999999, "T1.a"), (0.999, "oracle")):
+        named.clear()
+        v = classify(nearly_neutral(mu), 1.0, 2.1)
+        assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, rule)
+        assert named and not any(named)
+    # through classify, at budgets at and just past the probe's first check
+    box = box_inputs(0, 200)
+    for budget in (64, 100, 127, 128, 191):
+        live = [verdict_or_error(params, x0, budget=budget) for params, x0 in box]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_in_basin", lambda *args: None)
+            plain = [verdict_or_error(params, x0, budget=budget) for params, x0 in box]
+        assert live == plain, budget

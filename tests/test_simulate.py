@@ -679,3 +679,33 @@ def test_precheck_skips_only_tails_that_cannot_settle(window):
     module = sys.modules["ratiodyn.simulate"]
     if module._apart(logs, signs, tol):
         assert settles_without_precheck(logs, signs, tol) is None
+
+
+def test_a_chunk_read_logs_only_what_a_check_reads(monkeypatch):
+    """A chunk's read keeps its partial products and logs them on use: the
+    logs it gives are _partial_logs' floats, and a check that returns on
+    the 12-decade test logs no window."""
+    module = sys.modules["ratiodyn.simulate"]
+    rng = random.Random(43)
+    chunks = [
+        [rng.uniform(0.5, 2.0) for _ in range(256)],
+        [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) for _ in range(256)],
+        [rng.uniform(0.9, 1.1) for _ in range(40)],
+        [1e-35, 2e104] * 128,  # the frexp path
+    ]
+    for chunk in chunks:
+        first = max(0, len(chunk) - TAIL_WINDOW)
+        logs, negative = module._partial_logs(chunk, first)
+        read = module._Read(chunk)
+        assert [read.log(i) for i in range(-len(logs), 0)] == logs
+        assert (read.size, read.negative) == (len(logs), negative)
+    logged = []
+    real = module._logs_of
+    monkeypatch.setattr(module, "_logs_of", lambda *args: logged.append(1) or real(*args))
+    # |x_n| passes 12 decades within the first chunk: no window is logged
+    ones = Parameters(1.0, 1.0, 1.0, 1.0)
+    assert empirical_class(ones, 1.0, 1.5) == DIVERGES_TO_INFINITY
+    assert logged == []
+    # a bounded orbit reads its windows
+    assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, 2000, 1e-9) == CONVERGES_TO_TWO_CYCLE
+    assert logged
