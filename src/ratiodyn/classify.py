@@ -103,6 +103,8 @@ _DOWN = 1.0 - _PAD
 #: leaves the normal floats
 _TINY = 2.0 ** -50
 _HUGE = 2.0 ** 50
+#: _repels_everywhere follows each critical orbit at most this many steps
+_ESCAPE_STEPS = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -574,16 +576,162 @@ def _in_basin(params, values, done, budget, tol):
     return eq
 
 
+def _turns_negative(params, m, r):
+    """Whether the orbit of every point of [m - r, m + r] lies in
+    [_TINY, _HUGE] for some steps and then wholly below 0, within
+    _ESCAPE_STEPS steps; the enclosures are _repels_everywhere's."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    # the float orbit of m, on which the enclosures are centred, finds the
+    # step at which they must lie below 0, and declines at little cost
+    t, steps = m, 0
+    while not t < 0.0:
+        if not (_TINY <= t <= _HUGE and steps < _ESCAPE_STEPS):
+            return False
+        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
+        steps += 1
+    for _ in range(steps):
+        lo, hi = (m - r) * _DOWN, (m + r) * _UP
+        if not (_TINY <= lo and hi <= _HUGE):
+            return False
+        m, pad = _phi_padded(params, m)
+        r = (_slope_bound(params, lo, hi) * r + pad) * _UP
+    return m + r < 0.0
+
+
+def _repels_everywhere(params):
+    """True where every positive cycle of phi, of any period, provably
+    repels (|multiplier| > 1), from the orbits of phi's two positive
+    critical points x_m < x_M and of a = phi(inf); else False.  Then no
+    positive equilibrium or 2-cycle is a limit the ratios can near without
+    landing on it, and neither polynomial need be rooted to say so.
+
+    The certificate holds where c < 0, c^2 > 3 b d, and each of x_m, x_M
+    and a has an orbit that lies in [_TINY, _HUGE] for some steps and then
+    below 0, within _ESCAPE_STEPS steps: it turns negative.
+
+    Negative Schwarzian.  With s = 1/t, phi(t) = P(s) for
+    P(s) = a + b s + c s^2 + d s^3, and 1/t is a Moebius map, so the chain
+    rule S(f o g) = (S f o g) g'^2 + S g gives
+    S(phi)(t) = S(P)(1/t) / t^4 = -6 Q(1/t) / (P'(1/t)^2 t^4), where
+    Q(s) = 6 d^2 s^2 + 4 c d s + c^2 - b d.  Q's discriminant is
+    8 d^2 (3 b d - c^2) < 0, so Q > 0 on the whole line, and S(phi) < 0 at
+    every t != 0 where phi' != 0; by the chain rule, S(phi^n) < 0 wherever
+    phi^n is defined and (phi^n)' != 0.  Where S(G) < 0 and G' > 0 on an
+    interval, v = G'^(-1/2) has v'' = -v S(G) / 2 > 0 there: v is strictly
+    convex.  For c < 0 the positive critical points, the roots of
+    b t^2 + 2 c t + 3 d, are x_M = (-c + sqrt(c^2 - 3 b d)) / b and
+    x_m = 3 d / (-c + sqrt(c^2 - 3 b d)), neither of which cancels.
+
+    The immediate basin (after Singer, *SIAM J. Appl. Math.* 35, 1978; de
+    Melo and van Strien, *One-Dimensional Dynamics*, Springer 1993,
+    section II.6).  Let O = {p_0, ..., p_(k-1)} be a positive cycle with
+    multiplier mu, |mu| <= 1.  Call a component of O's basin (the t whose
+    every iterate is defined and whose orbit converges to O) immediate
+    where its closure meets O.  An immediate component C is connected,
+    misses 0 and has a positive point of O in its closure, so C lies in
+    (0, inf); phi(C) is connected, lies in the basin and has a point of O
+    in its closure, so it lies in an immediate component.  Let K be the
+    union of their closures, within [0, inf].  Where x in K is positive
+    and finite, phi is continuous at x, so phi(x) lies in K too: an orbit
+    from K is never negative while it lasts.  So none of x_m, x_M and a,
+    each of which the certificate shows turns negative, lies in K.  Yet
+    one of them does:
+
+    - mu = 0.  Some p_i is a critical point, and O lies in K.
+    - Else let G = phi^(2k), G(p) = p for p = p_0, and G'(p) = mu^2 in
+      (0, 1].  If mu^2 < 1, p attracts.  If mu^2 = 1, S(G)(p) < 0 gives
+      G''(p) != 0, or G''(p) = 0 and G'''(p) < 0; either way G(t) - t has
+      the sign of p - t on one side of p at least, whose points G moves
+      monotonically to p.  So an open interval with p in its closure
+      lies in the basin B of p under G.  Let W = (l, r) be the component
+      of B's interior that holds it.  W lies in the basin of O and p in
+      its closure, so W lies in an immediate component.
+    - A critical point z of G in W.  Then phi^j(z) is a critical point of
+      phi for some j < 2k, positive as the orbit of z stays in immediate
+      components, so it is x_m or x_M, and lies in K.
+    - Else G' > 0 on W, and G maps W onto an open interval in B, so in
+      its interior, that meets W: G(W) lies in W.  An end e of W that is
+      0, inf or a pole of G (phi^j(e) = 0 for some 1 <= j < 2k).  As
+      t -> e within W, phi^i(t) -> 0 for the least such i (0 for e = 0),
+      then phi^(i+1)(t) -> +-inf and phi^(i+2)(t) -> a, as
+      phi(s) = P(1/s) -> P(0) = a; for e = inf, phi(t) -> a.  The image of W under that iterate is connected, lies
+      in the basin and has a point of O in its closure, so it lies in an
+      immediate component, and a lies in K.
+    - Else G is continuous at both ends, in (0, inf).  G(l) lies in the
+      closure of W, and not in W: else a neighbourhood of l would map
+      into W, lie in B, and widen W.  So G(l), G(r) lie in {l, r}, and
+      G(l) < G(r) as G increases: G(l) = l and G(r) = r.  If G' = 0 at an
+      end e, phi^j(e) is x_m or x_M, positive and in K as above.  Else
+      v is strictly convex on [l, r].  By the mean value theorem G' = 1 at
+      some s in (p, r), and at some s' in (l, p) where l < p.  If p lies
+      in W, then v(s') = v(s) = 1 <= v(p) contradicts convexity.  If p is
+      an end, say p = l, then v(p) = v(s) = 1 puts G' > 1 on (p, s), so
+      G(t) > t there, and no point of W near p moves towards p.
+
+    So O is no limit the ratios can near without landing on it.  _Limits
+    counts a rooted equilibrium or 2-cycle as one where its rooted
+    |multiplier| is at most 1 + EPS_SEARCHED, the root search's error:
+    the certificate proves |multiplier| > 1 for the exact cycle, so the
+    two can differ only on a cycle within about EPS_SEARCHED of neutral.
+    The tests check on thousands of sets where it holds that no rooted
+    limit lies in that band.
+
+    Rounding, with u = 2^-53 and _certify's _PAD, _UP and _DOWN.  With a,
+    b, d and -c in [_TINY, _HUGE], c^2 and 3 b d are normal floats, and
+    fl(c^2 - 3 b d), four roundings, errs by at most 4 u (c^2 + 3 b d);
+    slack = _PAD (c^2 + 3 b d) exceeds that by at least
+    11 u (c^2 + 3 b d), which covers the roundings of slack itself.  So
+    c^2 - 3 b d lies in [disc - slack, disc + slack], and disc > slack
+    proves c^2 > 3 b d.  The square roots (correctly rounded) of those
+    ends, and the critical points formed from them, are bounds built from
+    nonnegative floats by at most 4 roundings and then multiplied by _UP
+    or _DOWN, which stays on the safe side as in _certify.  An orbit is
+    enclosed by [m - r, m + r], m a float and r >= 0: from the critical
+    points' enclosure, m its float midpoint and r the larger distance to
+    an end, times _UP; from a, m = a and r = 0.  A step takes
+    lo = (m - r) _DOWN and hi = (m + r) _UP, which hold the enclosure, and
+    needs them in [_TINY, _HUGE], as _certify's bounds do.  For t in
+    [m - r, m + r], |phi(t) - phi(m)| <= L r, L = _slope_bound(lo, hi) >=
+    sup |phi'| on [lo, hi], and |phi(m) - f| <= pad for the float f and pad of
+    _phi_padded, whose error bound holds whatever the sign of phi(m).  So
+    [f - r', f + r'], r' = (L r + pad) _UP, holds the next iterate; the
+    three roundings of r' lose less than _UP gains.  The float sum
+    f + r' is negative exactly where the exact one is, as a sum of two
+    floats rounds to 0 only when it is 0.  The centres are the float orbit of m
+    under the walk's own phi, and the step at which it turns negative is
+    the one at which the enclosure must lie below 0.
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
+    if not (c < 0.0 and _TINY <= min(a, b, d, -c) and max(a, b, d, -c) <= _HUGE):
+        return False
+    cc, bd3 = c * c, 3.0 * b * d
+    disc, slack = cc - bd3, _PAD * (cc + bd3)
+    if not disc > slack:
+        return False
+    root_lo = math.sqrt((disc - slack) * _DOWN) * _DOWN
+    root_hi = math.sqrt((disc + slack) * _UP) * _UP
+    if not _turns_negative(params, a, 0.0):
+        return False
+    for lo, hi in (
+        (3.0 * d / (root_hi - c) * _DOWN, 3.0 * d / (root_lo - c) * _UP),  # x_m
+        ((root_lo - c) / b * _DOWN, (root_hi - c) / b * _UP),  # x_M
+    ):
+        m = (lo + hi) * 0.5
+        if not _turns_negative(params, m, max(hi - m, m - lo) * _UP):
+            return False
+    return True
+
+
 class _Limits:
     """The positive equilibria and 2-cycles of one parameter set, each
     polynomial rooted once, on first use: most orbits settle on an
     equilibrium and never read the 2-cycles, or the other way round."""
 
-    __slots__ = ("params", "_eqs", "_cycles")
+    __slots__ = ("params", "_eqs", "_cycles", "_candidate")
 
     def __init__(self, params):
         self.params = params
-        self._eqs = self._cycles = None
+        self._eqs = self._cycles = self._candidate = None
 
     def eqs(self):
         if self._eqs is None:
@@ -597,18 +745,27 @@ class _Limits:
 
     def candidate(self):
         """Whether some limit is one the orbit can near without landing on
-        it; the 2-cycles are rooted only when no equilibrium is one."""
-        return any(
-            abs(o.multiplier) <= 1.0 + EPS_SEARCHED
-            for limits in (self.eqs, self.cycles) for o in limits()
-        )
+        it, decided once.  Where the critical orbits show that every
+        positive cycle repels (_repels_everywhere), no; else from the
+        roots, and the 2-cycles are rooted only when no equilibrium is
+        one."""
+        if self._candidate is None:
+            self._candidate = not _repels_everywhere(self.params) and any(
+                abs(o.multiplier) <= 1.0 + EPS_SEARCHED
+                for limits in (self.eqs, self.cycles) for o in limits()
+            )
+        return self._candidate
 
 
 def _identify(det, limits):
     """The (equilibrium, 2-cycle) pair a tail detection points at, or
     (None, None) when it names no known one.  The contraction certificate
     names a hyperbolic limit off the unit band without rooting; the roots
-    are matched only where it declines."""
+    are matched only where it declines.  A tail value e < -MATCH_TOL
+    matches no positive limit m, as |m - e| > |e| > MATCH_TOL max(1, |e|),
+    so such a tail roots nothing."""
+    if min(det.values) < -MATCH_TOL:
+        return None, None
     certified = _certify(det, limits.params)
     named = certified and certified[0]
     if det.kind == "equilibrium":
@@ -841,6 +998,18 @@ def _check_walk(x_minus1, x0, budget, tol):
     return t
 
 
+def _mirrored_orbit(x_minus1, x0, values):
+    """The solution orbit whose ratios are ``values``, as -x_n where its
+    last x_n is negative.  The equation is odd and homogeneous,
+    F(-x, -y) = -F(x, y), so -x_n solves it too, with the same ratios;
+    a T1.c2 or T2.c2 verdict reads the monotonicity of that orbit, not
+    that of a signed one that runs to -inf."""
+    straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
+    if straj.signs[-1] > 0:
+        return straj
+    return dataclasses.replace(straj, signs=[-s for s in straj.signs])
+
+
 def _theorem_verdict(params, x_minus1, x0, budget, tol):
     """classify's verdict before the oracle's note, and the walked ratios.
 
@@ -850,7 +1019,11 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     attracting limit: a stay near a repelling one can end later.  A ratio
     orbit converges to a repelling equilibrium or 2-cycle only by landing on
     it, which the first 1024 steps show; so when every limit is repelling
-    the walk stops there.  A settled tail names its limit without rooting
+    the walk stops there.  That every limit repels is read first from the
+    orbits of phi's critical points and of a (_repels_everywhere): where
+    phi's Schwarzian derivative is negative and each of those orbits turns
+    negative within a few steps, no positive cycle attracts or is neutral,
+    and neither polynomial is rooted.  A settled tail names its limit without rooting
     where a contraction certificate holds: phi (or phi∘phi, for a 2-cycle)
     maps a window around the tail into itself, under outward-rounded
     bounds, so the window holds exactly one limit, which attracts, and the
@@ -864,9 +1037,10 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     rooted at most once, and only when the walk first reads it: the
     fixed-point quartic when a tail the certificate declines names an
     equilibrium, or when the walk reaches step 1024 (or ends sooner) with no
-    settled tail; the 2-cycle sextic when such a tail names a 2-cycle, when
-    no equilibrium is non-repelling at that point, or for the proximity
-    pass.  So a set whose 2-cycle search fails still gets a verdict from an
+    settled tail and _repels_everywhere declines; the 2-cycle sextic when
+    such a tail names a 2-cycle, when no equilibrium is non-repelling at
+    that point, or for the proximity pass.  A tail below -MATCH_TOL roots
+    nothing.  So a set whose 2-cycle search fails still gets a verdict from an
     orbit that never roots the sextic.  An orbit that lands exactly on the limit
     within a few steps (the preimage-set case) gets the exact-landing
     verdict.  If no limit can be identified within the budget the empirical
@@ -946,9 +1120,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         sigma = params.b + 2.0 * params.c + 3.0 * params.d
         # only sigma = -1 (T1.c2) reads the evidence
         if at_one and abs(sigma + 1.0) <= EPS_CRIT:
-            evidence = subsequence_monotonicity(
-                solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED)), 1, 0
-            )
+            evidence = subsequence_monotonicity(_mirrored_orbit(x_minus1, x0, values), 1, 0)
         return classify_equilibrium_limit(params, eq, evidence), values
 
     if cyc is not None:
@@ -961,7 +1133,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         evidence = None
         # only a multiplier of +1 (T2.c2) reads the evidence
         if cyc.unit_product and abs(cyc.multiplier - 1.0) <= EPS_SEARCHED:
-            straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
+            straj = _mirrored_orbit(x_minus1, x0, values)
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None

@@ -15,6 +15,7 @@ from ratiodyn.classify import (
     FOUR_PHASE_DECREASING,
     FOUR_PHASE_INCREASING,
     LANDING_STEPS,
+    WHOLE_INCREASING,
     WHOLE_MONOTONE,
     Verdict,
     classify,
@@ -27,7 +28,9 @@ from ratiodyn.classify import (
     _in_basin,
     _landing_index,
     _mean_distance,
+    _repels_everywhere,
     _slope_bound,
+    _turns_negative,
 )
 from ratiodyn.criteria import DegeneracyError
 from ratiodyn.cycles import PairingError, TwoCycle, find_two_cycles, unit_product_cycle
@@ -662,10 +665,16 @@ def test_each_polynomial_is_rooted_only_where_the_walk_reads_it(monkeypatch):
     v, calls = rooting_calls(monkeypatch, UNIT_CYCLE_EXAMPLE, 1.3)
     assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_TWO_CYCLE, "T2.c1")
     assert calls == {"equilibria": 0, "find_two_cycles": 1}
-    # no settled tail at step 1024: every limit repels, which takes both
-    # searches to tell
+    # no settled tail at step 1024: every limit repels, which the orbits of
+    # the critical points and of a show without a search
     v, calls = rooting_calls(monkeypatch, ALL_REPELLING, 1.0)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "oracle")
+    assert calls == {"equilibria": 0, "find_two_cycles": 0}
+    # seed-0 box input 1539 walks its whole budget beside an attracting
+    # 2-cycle, which pulls in a critical point: both searches tell that
+    # some limit is non-repelling
+    v, calls = rooting_calls(monkeypatch, *box_inputs(0, 1540)[1539])
+    assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "oracle")
     assert calls == {"equilibria": 1, "find_two_cycles": 1}
     # the neutral equilibrium at 1 keeps the walk going without the 2-cycles,
     # and the proximity pass reads both analyses without rooting either again
@@ -1142,3 +1151,126 @@ def test_the_probe_declines_where_it_must(monkeypatch):
             patch.setattr(module, "_in_basin", lambda *args: None)
             plain = [verdict_or_error(params, x0, budget=budget) for params, x0 in box]
         assert live == plain, budget
+
+
+def test_the_schwarzian_of_phi():
+    sp = pytest.importorskip("sympy")
+    a, b, c, d, t, s = sp.symbols("a b c d t s")
+    f = a + b / t + c / t**2 + d / t**3
+    d1, d2, d3 = (sp.diff(f, t, k) for k in (1, 2, 3))
+    schwarzian = d3 / d1 - sp.Rational(3, 2) * (d2 / d1) ** 2
+    p_prime = b + 2 * c * s + 3 * d * s**2
+    q = 6 * d**2 * s**2 + 4 * c * d * s + c**2 - b * d
+    claimed = (-6 * q / (p_prime**2 * t**4)).subs(s, 1 / t)
+    assert sp.simplify(schwarzian - claimed) == 0
+    # Q has no real root where c^2 > 3 b d
+    assert sp.expand(sp.discriminant(q, s) - 8 * d**2 * (3 * b * d - c**2)) == 0
+
+
+def test_the_critical_orbit_certificate_is_sound():
+    """Where _repels_everywhere holds, neither search reports a limit that
+    _Limits.candidate would count (|multiplier| <= 1 + EPS_SEARCHED)."""
+    rng = random.Random(43)
+    held = drawn = 0
+    while held < 5000:
+        drawn += 1
+        params = Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                            rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0))
+        if not _repels_everywhere(params):
+            continue
+        held += 1
+        try:
+            limits = equilibria(params) + find_two_cycles(params)
+        except PairingError:
+            continue
+        assert all(abs(o.multiplier) > 1.0 + EPS_SEARCHED for o in limits), params
+    # it holds on about a sixth of the box
+    assert drawn < 40000
+
+
+def test_the_critical_orbit_certificate_declines_where_it_must():
+    # c^2 < 3 b d: Example A, whose equilibrium at 1 is neutral
+    assert NEUTRAL_EXAMPLE.c ** 2 < 3.0 * NEUTRAL_EXAMPLE.b * NEUTRAL_EXAMPLE.d
+    assert not _repels_everywhere(NEUTRAL_EXAMPLE)
+    # c >= 0: phi has no positive critical point, and the orbit of a stays
+    # positive
+    for params in (Parameters(1.0, 1.0, 1.0, 1.0), Parameters(0.5, 1.0, 0.0, 1.0),
+                   Parameters(0.05, 0.05, 3.0, 0.05)):
+        assert not _repels_everywhere(params), params
+    # seed-0 box inputs that walk the full budget beside an attracting 2-cycle
+    box = box_inputs(0, 2000)
+    for i, mu in ((1539, 0.076), (1968, 0.895)):
+        params = box[i][0]
+        (attracting,) = [c for c in find_two_cycles(params) if abs(c.multiplier) < 1.0]
+        assert attracting.multiplier == pytest.approx(mu, abs=1e-3)
+        assert not _repels_everywhere(params), i
+    # the orbits of a and x_m turn negative, but an attracting equilibrium
+    # at 1.534 pulls in x_M: a check of a alone would be wrong
+    params = Parameters(0.6590703333995468, 2.767661372195038, -2.447996216338228,
+                        0.40066118715375443)
+    (e,) = [e for e in equilibria(params) if abs(e.multiplier) < 1.0]
+    assert e.value == pytest.approx(1.534, abs=1e-3) and e.multiplier == pytest.approx(-0.037, abs=1e-3)
+    cps = critical_points(params)
+    assert _turns_negative(params, params.a, 0.0) and _turns_negative(params, cps.x_m, 0.0)
+    assert not _turns_negative(params, cps.x_M, 0.0)
+    assert not _repels_everywhere(params)
+
+
+def test_the_critical_orbit_certificate_changes_no_verdict(monkeypatch):
+    """Answering _Limits.candidate from the critical orbits leaves every
+    verdict, and every exception type, as the two root searches give it."""
+    rng = random.Random(47)
+    groups = {
+        "box": [(params, x0, {}) for params, x0 in box_inputs(0, 3000)],
+        "golden": golden_inputs(),
+        # a shorter budget keeps the neutral orbits quick
+        "surfaces": [
+            (params, x0, {"budget": 20000})
+            for params, x0 in surface_draws(rng, 60, 1) + surface_draws(rng, 60, -1)
+        ],
+        "tiny_a": [(params, x0, {}) for params, x0 in tiny_a_grid()],
+    }
+    module = sys.modules["ratiodyn.classify"]
+    real, decided = module._repels_everywhere, dict.fromkeys(groups, 0)
+
+    def counting(params):
+        holds = real(params)
+        decided[group] += holds
+        return holds
+
+    monkeypatch.setattr(module, "_repels_everywhere", counting)
+    live = []
+    for group, inputs in groups.items():
+        live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    # how many walks of each group it answers without rooting
+    assert decided == {"box": 206, "golden": 6, "surfaces": 0, "tiny_a": 0}
+    monkeypatch.setattr(module, "_repels_everywhere", lambda params: False)
+    inputs = [inp for inputs in groups.values() for inp in inputs]
+    plain = [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
+    differ = [(inp, v, w) for inp, v, w in zip(inputs, live, plain) if v != w]
+    assert differ == []
+
+
+def test_a_negative_tail_roots_nothing(monkeypatch):
+    module = sys.modules["ratiodyn.classify"]
+    calls = []
+    for name in ("equilibria", "find_two_cycles"):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    limits = _Limits(UNIT_CYCLE_EXAMPLE)
+    for det in (LimitReport("equilibrium", (-0.5,), 0.0), LimitReport("two_cycle", (-0.5, 2.0), 0.0),
+                LimitReport("two_cycle", (0.5, -2.0), 0.0)):
+        assert _identify(det, limits) == (None, None), det
+    assert calls == []
+
+
+def test_a_negative_orbit_reads_as_its_mirror():
+    """On the sigma = -1 surface, an orbit whose ratios turn negative early
+    has x_n < 0 from a positive start; -x_n solves the equation with the
+    same ratios, and T1.c2 reads the monotonicity of that positive orbit."""
+    params = Parameters(0.13641007898787008, 2.9561876501465014, -2.3216055372566133,
+                        0.22900780812224164)
+    v = classify(params, 1.0, 0.6489493883312525)
+    assert v == Verdict(
+        UNDETERMINED, "T1.c2", WHOLE_INCREASING,
+        notes="increasing with c <= -3d: outcome not covered; oracle=diverges_to_infinity",
+    )
