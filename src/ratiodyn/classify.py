@@ -38,7 +38,6 @@ from .ratio_map import (
 from .simulate import (
     DECREASING,
     INCREASING,
-    LimitReport,
     RatioTrajectory,
     COMPLETED,
     _check_tail_tol,
@@ -90,15 +89,15 @@ MATCH_TOL = 1e-3
 #: distance to any limit above 0.95 times the early one's
 _WHOLE_PERIODS = 21
 
-# the contraction certificate's rounding (see _certify): u = 2^-53 is the
-# unit roundoff of a double, _PAD the pad on a float evaluation per unit of
-# the absolute values of its terms, and _UP / _DOWN turn a float computed
-# from bounds into a bound on the safe side
+# the certificates' rounding (see _enclose): u = 2^-53 is the unit roundoff
+# of a double, _PAD the pad on a float evaluation per unit of the absolute
+# values of its terms, and _UP / _DOWN turn a float computed from bounds
+# into a bound on the safe side
 _U = 2.0 ** -53
 _PAD = 16.0 * _U
 _UP = 1.0 + _PAD
 _DOWN = 1.0 - _PAD
-#: the certificate declines unless a, b, d, a nonzero |c| and every window
+#: a certificate declines unless a, b, d, a nonzero |c| and every window
 #: end lie within [_TINY, _HUGE]: there no product or quotient it forms
 #: leaves the normal floats
 _TINY = 2.0 ** -50
@@ -325,14 +324,14 @@ def _nearest_cycle(cycles, lo, hi):
 
 def _phi_padded(params, t):
     """phi(t) as the ratio walk computes it, and a pad that exceeds its
-    rounding error (see _certify)."""
+    rounding error (see _enclose)."""
     a, b, c, d = params.a, params.b, params.c, params.d
     f = (((a * t + b) * t + c) * t + d) / (t * t * t)
     return f, _PAD * (a + (b + (abs(c) + d / t) / t) / t)
 
 
 def _slope_bound(params, lo, hi):
-    """A float at least sup |phi'| over [lo, hi] (see _certify).
+    """A float at least sup |phi'| over [lo, hi] (see _enclose).
 
     phi'(t) = -g(t) / t^4 with g(t) = b t^2 + 2 c t + 3 d.  g is convex
     (b > 0), so |g| on [lo, hi] peaks at an end, or at g's vertex -c / b,
@@ -349,45 +348,23 @@ def _slope_bound(params, lo, hi):
     return top / (lo * lo * lo * lo) * _UP
 
 
-def _certify(det, params):
-    """The equilibrium or 2-cycle that the settled tail ``det`` points at,
-    where phi (or phi∘phi) provably contracts a window around the tail into
-    itself and the limit lies off the unit band, with the rate L and the
-    residual r below; else None.  It names the limit _identify's root
-    matching would name, without rooting a polynomial, and only where the
-    verdict is T1.a, T1.b, T2.a or T2.b.
-
-    Equilibrium, tail mean m.  Let I = [m - w, m + w] with
-    w = MATCH_TOL max(1, m), the window _nearest_equilibrium searches.  If
-    L >= sup_I |phi'| and r >= |phi(m) - m| with L < 1 and r <= (1 - L) w,
-    then for t in I, |phi(t) - m| <= L |t - m| + r <= w.  So phi maps I into
-    itself and contracts it: I holds exactly one equilibrium, with
-    |phi'| <= L there, which attracts, and which is the one
-    _nearest_equilibrium names.  The test takes L < 1 - EPS_SEARCHED, the
-    margin the walk's early checks ask of an attracting limit, and names
-    the equilibrium only where I lies wholly above 1 + _unit_band or wholly
-    below 1 - _unit_band.
-
-    2-cycle, tail means p < q.  The same test is made of phi∘phi on
-    I = [p - w, p + w], w = MATCH_TOL max(1, p).  Let f be the float phi(p),
-    e >= |f - phi(p)| and L_p >= sup_I |phi'|.  Then J = f ± (L_p w + e)
-    holds phi(I), the rate is L = L_p L_J with L_J >= sup_J |phi'|, and
-    r = |f2 - p| + e2 + L_J e bounds |phi(phi(p)) - p|, where f2 is the
-    float phi(f) with error at most e2: phi(p) and f both lie in J.  So I
-    holds exactly one fixed point p* of phi∘phi, which attracts.  Since
-    |p - p*| <= |p - phi(phi(p))| + L |p - p*|, p* lies in
-    P = p ± r / (1 - L), and q* = phi(p*) in Q = f ± (L_p r / (1 - L) + e).
-    If P lies below Q, then p* < q* and (p*, q*) is a 2-cycle.  If Q also
-    lies in _nearest_cycle's window around q, it is the cycle that names.
-    It is named only where p* q*, which lies between lo(P) lo(Q) and
-    hi(P) hi(Q), lies above 1 + EPS_SEARCHED or below 1 - EPS_SEARCHED.
+def _enclose(params, m, r):
+    """One mean-value step of the window [m - r, m + r], m a float and
+    r >= 0, rounded outward: (f, s, L, pad), with f the ratio walk's float
+    phi(m) and pad >= |f - phi(m)|, whatever its sign (_phi_padded).
+    lo = (m - r) _DOWN and hi = (m + r) _UP hold the window,
+    L = _slope_bound(lo, hi) >= sup |phi'| on [lo, hi], and
+    s = (L r + pad) _UP: by the mean value theorem, phi maps the window
+    into [f - s, f + s].  None where lo or hi leaves [_TINY, _HUGE].  Every
+    certificate steps through here, and this proof covers its bounds.
 
     Rounding.  Let u = 2^-53.  With a, b, d, a nonzero |c| and every window
     end in [_TINY, _HUGE], no product or quotient formed here leaves the
     normal floats, and a difference that comes out small is exact.  So
     each float operation errs by at most u relative to its exact result.
     Then (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., SIAM 2002, sections 3.1 and 5.1):
+    ed., SIAM 2002, sections 3.1 and 5.1; for the enclosures, Moore,
+    Kearfott and Cloud, *Introduction to Interval Analysis*, SIAM 2009):
 
     - phi(t) by the walk's Horner form and quotient (9 operations) errs by
       at most 10 u A, where A = a + b/t + |c|/t^2 + d/t^3 is the sum of the
@@ -399,21 +376,63 @@ def _certify(det, params):
 
     The pads are 16 u times the float A or B(hi).  That exceeds each error
     by at least 5 u A (or 5 u B), which covers the pad's own roundings and
-    those of the sum it is added to.  Every other bound is built from
-    floats that are themselves bounds by at most 8 roundings of
-    nonnegative values, each within a factor (1 + u)^(+-1) of exact, and
-    then multiplied by _UP = 1 + 16 u or _DOWN = 1 - 16 u.  Since
-    (1 + u)^-9 (1 + 16 u) > 1 > (1 + u)^9 (1 - 16 u), an upper bound times
-    _UP, and a lower bound times _DOWN, stays on its safe side: the window
-    ends, J, L, r, (1 - L) w, P, Q and the product range.  A lower end
-    that comes out at or below 0, which _DOWN does not lower, fails the
-    test that needs it positive (or, as the left end of _nearest_cycle's
-    window, makes its test hold as it should).  A value that comes out inf
-    or nan fails every test that accepts.
+    those of the sum it is added to.  Every other bound, here or in a
+    certificate that reads these, is built from floats that are themselves
+    bounds by at most 8 roundings of nonnegative values, each within a
+    factor (1 + u)^(+-1) of exact, and then multiplied by _UP = 1 + 16 u or
+    _DOWN = 1 - 16 u.  Since (1 + u)^-9 (1 + 16 u) > 1 > (1 + u)^9 (1 - 16 u),
+    an upper bound times _UP, and a lower bound times _DOWN, stays on its
+    safe side: lo, hi, L and s here, and a certificate's rates, residuals
+    and window ends.  A lower end that comes out at or below 0, which
+    _DOWN does not lower, fails the test that needs it positive (or, as the
+    left end of a window a certificate must lie in, makes its test hold as
+    it should).  A value that comes out inf or nan fails every test that
+    accepts.
+    """
+    lo, hi = (m - r) * _DOWN, (m + r) * _UP
+    if not (_TINY <= lo and hi <= _HUGE):
+        return None
+    f, pad = _phi_padded(params, m)
+    slope = _slope_bound(params, lo, hi)
+    return f, (slope * r + pad) * _UP, slope, pad
 
-    The named equilibrium is (m, phi'(m)) and the named cycle is
-    (p, f, p f, phi'(p) phi'(f)).  p lies in P and f in Q, so p < f, and
-    the float p f lies on the side of 1 that p* q* lies on.
+
+def _certify(values, params):
+    """The equilibrium or 2-cycle that a settled tail's ``values``, (m,) or
+    (p, q) with p < q, point at, where phi (or phi∘phi) provably contracts
+    a window around the tail into itself and the limit lies off the unit
+    band, with the rate L and the residual r below; else None.  It names
+    the limit _identify's root matching would name, without rooting a
+    polynomial, and only where the verdict is T1.a, T1.b, T2.a or T2.b.
+
+    The contraction test.  Let x be the first value, G = phi for an
+    equilibrium and phi∘phi for a 2-cycle, and I = [x - w, x + w] with
+    w = MATCH_TOL max(1, x), the window _nearest_equilibrium and
+    _nearest_cycle search around x.  _enclose(x, w) gives the float
+    f = phi(x), its pad e, L_1 >= sup_I |phi'| and J = f +- s, which holds
+    phi(I).  For an equilibrium, L = L_1 and r = |f - x| + e.  For a
+    2-cycle, _enclose(f, s) gives the float f2 = phi(f), its pad e2 and
+    L_J >= sup_J |phi'|; then L = L_1 L_J bounds sup_I |G'|, and
+    r = |f2 - x| + e2 + L_J e bounds |G(x) - x|, as phi(x) and f both lie
+    in J.  Where L < 1 and r <= (1 - L) w, |G(t) - x| <= L |t - x| + r <= w
+    for t in I: G maps I into itself and contracts it, so I holds exactly
+    one fixed point x* of G, with |G'| <= L there, which attracts.  The test
+    takes L < 1 - EPS_SEARCHED, the margin the walk's early checks ask of
+    an attracting limit.  Every bound is rounded outward (_enclose).
+
+    Equilibrium, x = m.  x* is the one _nearest_equilibrium names, named as
+    (m, phi'(m)) only where I, rounded outward, lies wholly above
+    1 + _unit_band or wholly below 1 - _unit_band, a test that runs first.
+
+    2-cycle, x = p.  Since |p - p*| <= |p - G(p)| + L |p - p*|, p* lies in
+    P = p +- r / (1 - L), and q* = phi(p*) in Q = f +- (L_1 r / (1 - L) + e).
+    If P lies below Q, then p* < q* and (p*, q*) is a 2-cycle.  If Q also
+    lies in _nearest_cycle's window around q, it is the cycle that names.
+    It is named, as (p, f, p f, phi'(p) phi'(f)), only where p* q*, which
+    lies between lo(P) lo(Q) and hi(P) hi(Q), lies above 1 + EPS_SEARCHED
+    or below 1 - EPS_SEARCHED.  p lies in P and f in Q, so p < f, and the
+    float p f lies on the side of 1 that p* q* lies on.
+
     The certificate also declines where the value it names fails the
     phi-closure test that classify_equilibrium_limit or
     classify_cycle_limit makes of it, as it can at a coarse ``tol``.
@@ -424,42 +443,35 @@ def _certify(det, params):
         and (c == 0.0 or _TINY <= abs(c))
     ):
         return None
-    if det.kind == "equilibrium":
-        (m,) = det.values
+    x = values[0]
+    w = MATCH_TOL * max(1.0, x)
+    period = len(values)
+    if period == 1:
         band = _unit_band(params)
-        w = MATCH_TOL * max(1.0, m)
-        lo, hi = (m - w) * _DOWN, (m + w) * _UP
-        if not (_TINY <= lo and hi <= _HUGE and (lo > 1.0 + band or hi < 1.0 - band)):
+        if not ((x - w) * _DOWN > 1.0 + band or (x + w) * _UP < 1.0 - band):
             return None
-        rate = _slope_bound(params, lo, hi)
-        f, pad = _phi_padded(params, m)
-        r = (abs(f - m) + pad) * _UP
-        if not (
-            rate < 1.0 - EPS_SEARCHED
-            and r <= (1.0 - rate) * w * _DOWN
-            and abs(phi(params, m) - m) <= EPS_SEARCHED * max(1.0, m)
-        ):
+    step = _enclose(params, x, w)
+    if step is None:
+        return None
+    f, spread, rate, pad = step
+    if period == 1:
+        r = (abs(f - x) + pad) * _UP
+    else:
+        back = _enclose(params, f, spread)
+        if back is None:
             return None
-        mu = phi_prime(params, m)
-        return Equilibrium(m, mu, classify_multiplier(mu)), rate, r
-
-    p, q = det.values
-    w = MATCH_TOL * max(1.0, p)
-    lo, hi = (p - w) * _DOWN, (p + w) * _UP
-    if not (_TINY <= lo and hi <= _HUGE):
-        return None
-    slope_p = _slope_bound(params, lo, hi)
-    f, pad = _phi_padded(params, p)
-    spread = (slope_p * w + pad) * _UP
-    jlo, jhi = (f - spread) * _DOWN, (f + spread) * _UP
-    if not (_TINY <= jlo and jhi <= _HUGE):
-        return None
-    slope_j = _slope_bound(params, jlo, jhi)
-    rate = slope_p * slope_j * _UP
-    f2, pad2 = _phi_padded(params, f)
-    r = (abs(f2 - p) + pad2 + slope_j * pad) * _UP
+        f2, _, slope_j, pad2 = back
+        slope_p, rate = rate, rate * slope_j * _UP
+        r = (abs(f2 - x) + pad2 + slope_j * pad) * _UP
     if not (rate < 1.0 - EPS_SEARCHED and r <= (1.0 - rate) * w * _DOWN):
         return None
+    if period == 1:
+        if not abs(phi(params, x) - x) <= EPS_SEARCHED * max(1.0, x):
+            return None
+        mu = phi_prime(params, x)
+        return Equilibrium(x, mu, classify_multiplier(mu)), rate, r
+
+    p, q = values
     dp = r / ((1.0 - rate) * _DOWN) * _UP
     dq = (slope_p * dp + pad) * _UP
     p_hi, q_lo, q_hi = (p + dp) * _UP, (f - dq) * _DOWN, (f + dq) * _UP
@@ -481,9 +493,9 @@ def _in_basin(params, values, done, budget, tol):
     """The equilibrium off the unit band that the walk's ratios converge to
     from t = values[-1], the ratio at the check c = ``done``, where the
     walk's verdict is provably that equilibrium's (T1.a or T1.b); else
-    None.  It runs _certify's equilibrium branch centred on t before the
-    detector reads the check's window, and names the equilibrium only where
-    the three conditions below hold, so that the walk may stop at c.
+    None.  It runs _certify((t,)) before the detector reads the check's
+    window, and names the equilibrium only where the three conditions below
+    hold, so that the walk may stop at c.
 
     Notation.  u = 2^-53, T = max(1, t), w = MATCH_TOL T, J = [t - w, t + w]
     and scale = T - w, rounded down.  A float mean of at most 64 finite
@@ -496,15 +508,14 @@ def _in_basin(params, values, done, budget, tol):
     least TAIL_WINDOW steps past the one before it, so every later window
     lies in steps c, c + 1, ....
 
-    Contraction.  _certify holds at t: with L >= sup |phi'| on J and
-    r >= |phi(t) - t|, L < 1 - EPS_SEARCHED, r <= (1 - L) w and J lies off
-    the unit band on one side.  So J holds exactly one equilibrium e*, and
-    |t - e*| <= r + L |t - e*| gives |t - e*| <= dev = r / (1 - L).  The
-    walk's float phi(s) errs by at most 10 u A(s) for s in J (_certify),
-    and A decreases in s, so by at most P, the pad _phi_padded gives at
-    J's low end.  Let noise = P / (1 - L) and D = dev + noise.  Each bound
-    below is a float rounded to its safe side by _UP or _DOWN, as in
-    _certify, and tol is a normal float, as condition 1 requires.
+    Contraction.  _certify((t,)) holds: J lies off the unit band on one
+    side and holds exactly one equilibrium e*, and its L and r give
+    |t - e*| <= r + L |t - e*|, so |t - e*| <= dev = r / (1 - L).  The
+    walk's float phi(s) errs by at most 10 u A(s) for s in J, and A
+    decreases in s, so by at most P, the pad _phi_padded gives at J's low
+    end.  Let noise = P / (1 - L) and D = dev + noise.  Each bound below is
+    rounded to its safe side (_enclose), and tol is a normal float, as
+    condition 1 requires.
 
     1. |t - s| + 2^-45 T <= 7 tol T, s = values[-2]: this check reports no
        2-cycle.  Its 2-cycle test holds t in the window's odd half and s in
@@ -559,7 +570,7 @@ def _in_basin(params, values, done, budget, tol):
     if not (g >= 0 and 32.0 * tol <= MATCH_TOL):
         return None
     w = MATCH_TOL * big
-    certified = _certify(LimitReport("equilibrium", (t,), 0.0), params)
+    certified = _certify((t,), params)
     if certified is None:
         return None
     eq, rate, r = certified
@@ -580,21 +591,19 @@ def _turns_negative(params, m, r):
     """Whether the orbit of every point of [m - r, m + r] lies in
     [_TINY, _HUGE] for some steps and then wholly below 0, within
     _ESCAPE_STEPS steps; the enclosures are _repels_everywhere's."""
-    a, b, c, d = params.a, params.b, params.c, params.d
     # the float orbit of m, on which the enclosures are centred, finds the
     # step at which they must lie below 0, and declines at little cost
     t, steps = m, 0
     while not t < 0.0:
         if not (_TINY <= t <= _HUGE and steps < _ESCAPE_STEPS):
             return False
-        t = (((a * t + b) * t + c) * t + d) / (t * t * t)
+        t = _phi_padded(params, t)[0]
         steps += 1
     for _ in range(steps):
-        lo, hi = (m - r) * _DOWN, (m + r) * _UP
-        if not (_TINY <= lo and hi <= _HUGE):
+        step = _enclose(params, m, r)
+        if step is None:
             return False
-        m, pad = _phi_padded(params, m)
-        r = (_slope_bound(params, lo, hi) * r + pad) * _UP
+        m, r = step[:2]
     return m + r < 0.0
 
 
@@ -676,7 +685,7 @@ def _repels_everywhere(params):
     The tests check on thousands of sets where it holds that no rooted
     limit lies in that band.
 
-    Rounding, with u = 2^-53 and _certify's _PAD, _UP and _DOWN.  With a,
+    Rounding, with u = 2^-53 and _enclose's _PAD, _UP and _DOWN.  With a,
     b, d and -c in [_TINY, _HUGE], c^2 and 3 b d are normal floats, and
     fl(c^2 - 3 b d), four roundings, errs by at most 4 u (c^2 + 3 b d);
     slack = _PAD (c^2 + 3 b d) exceeds that by at least
@@ -685,21 +694,15 @@ def _repels_everywhere(params):
     proves c^2 > 3 b d.  The square roots (correctly rounded) of those
     ends, and the critical points formed from them, are bounds built from
     nonnegative floats by at most 4 roundings and then multiplied by _UP
-    or _DOWN, which stays on the safe side as in _certify.  An orbit is
-    enclosed by [m - r, m + r], m a float and r >= 0: from the critical
-    points' enclosure, m its float midpoint and r the larger distance to
-    an end, times _UP; from a, m = a and r = 0.  A step takes
-    lo = (m - r) _DOWN and hi = (m + r) _UP, which hold the enclosure, and
-    needs them in [_TINY, _HUGE], as _certify's bounds do.  For t in
-    [m - r, m + r], |phi(t) - phi(m)| <= L r, L = _slope_bound(lo, hi) >=
-    sup |phi'| on [lo, hi], and |phi(m) - f| <= pad for the float f and pad of
-    _phi_padded, whose error bound holds whatever the sign of phi(m).  So
-    [f - r', f + r'], r' = (L r + pad) _UP, holds the next iterate; the
-    three roundings of r' lose less than _UP gains.  The float sum
-    f + r' is negative exactly where the exact one is, as a sum of two
-    floats rounds to 0 only when it is 0.  The centres are the float orbit of m
-    under the walk's own phi, and the step at which it turns negative is
-    the one at which the enclosure must lie below 0.
+    or _DOWN, which stays on the safe side (_enclose).  An orbit is
+    enclosed by [m - r, m + r]: from the critical points' enclosure, m its
+    float midpoint and r the larger distance to an end, times _UP; from a,
+    m = a and r = 0.  Each step is _enclose's, whose [f - s, f + s] holds
+    the next iterate.  The float sum f + s is negative exactly where the
+    exact one is, as a sum of two floats rounds to 0 only when it is 0.
+    The centres are the float orbit of m under the walk's own phi, and the
+    step at which it turns negative is the one at which the enclosure must
+    lie below 0.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
     if not (c < 0.0 and _TINY <= min(a, b, d, -c) and max(a, b, d, -c) <= _HUGE):
@@ -766,7 +769,7 @@ def _identify(det, limits):
     so such a tail roots nothing."""
     if min(det.values) < -MATCH_TOL:
         return None, None
-    certified = _certify(det, limits.params)
+    certified = _certify(det.values, limits.params)
     named = certified and certified[0]
     if det.kind == "equilibrium":
         # ``limits.eqs()`` holds every positive equilibrium, and a ratio orbit
@@ -998,13 +1001,14 @@ def _check_walk(x_minus1, x0, budget, tol):
     return t
 
 
-def _mirrored_orbit(x_minus1, x0, values):
-    """The solution orbit whose ratios are ``values``, as -x_n where its
-    last x_n is negative.  The equation is odd and homogeneous,
-    F(-x, -y) = -F(x, y), so -x_n solves it too, with the same ratios;
-    a T1.c2 or T2.c2 verdict reads the monotonicity of that orbit, not
-    that of a signed one that runs to -inf."""
-    straj = solution_trajectory(x_minus1, x0, RatioTrajectory(values, COMPLETED))
+def _mirrored_orbit(values):
+    """The solution orbit from x_{-1} = 1 whose ratios are ``values``, as
+    -x_n where its last x_n is negative.  The equation is odd and
+    homogeneous of degree 1, so x_n / x_{-1} and -x_n solve it too, with the
+    same ratios; a T1.c2 or T2.c2 verdict reads the monotonicity of that
+    orbit, the same at every scale of the start, not that of a signed one
+    that runs to -inf."""
+    straj = solution_trajectory(1.0, values[0], RatioTrajectory(values, COMPLETED))
     if straj.signs[-1] > 0:
         return straj
     return dataclasses.replace(straj, signs=[-s for s in straj.signs])
@@ -1019,31 +1023,23 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     attracting limit: a stay near a repelling one can end later.  A ratio
     orbit converges to a repelling equilibrium or 2-cycle only by landing on
     it, which the first 1024 steps show; so when every limit is repelling
-    the walk stops there.  That every limit repels is read first from the
-    orbits of phi's critical points and of a (_repels_everywhere): where
-    phi's Schwarzian derivative is negative and each of those orbits turns
-    negative within a few steps, no positive cycle attracts or is neutral,
-    and neither polynomial is rooted.  A settled tail names its limit without rooting
-    where a contraction certificate holds: phi (or phi∘phi, for a 2-cycle)
-    maps a window around the tail into itself, under outward-rounded
-    bounds, so the window holds exactly one limit, which attracts, and the
-    limit (or the cycle's product) lies off 1 by more than the band.  The
-    verdict is then T1.a, T1.b, T2.a or T2.b.  Before the detector reads a
-    check's window, the same certificate is tried on the window around the
-    last ratio (_in_basin): where it proves that the walk stays in that
-    window, that no check reports a 2-cycle and that an equilibrium test
-    passes within the budget, the walk stops with that equilibrium's
-    verdict, the one it would reach later.  Otherwise each polynomial is
-    rooted at most once, and only when the walk first reads it: the
-    fixed-point quartic when a tail the certificate declines names an
-    equilibrium, or when the walk reaches step 1024 (or ends sooner) with no
-    settled tail and _repels_everywhere declines; the 2-cycle sextic when
-    such a tail names a 2-cycle, when no equilibrium is non-repelling at
-    that point, or for the proximity pass.  A tail below -MATCH_TOL roots
-    nothing.  So a set whose 2-cycle search fails still gets a verdict from an
-    orbit that never roots the sextic.  An orbit that lands exactly on the limit
-    within a few steps (the preimage-set case) gets the exact-landing
-    verdict.  If no limit can be identified within the budget the empirical
+    the walk stops there.  That every limit repels is read first, without
+    rooting, from the orbits of phi's critical points and of a
+    (_repels_everywhere).  A settled tail names a limit off the unit band
+    without rooting where a contraction certificate holds (_certify), with
+    verdict T1.a, T1.b, T2.a or T2.b.  Before the detector reads a check's
+    window, the walk stops with an equilibrium's verdict where the
+    certificate on the window around the last ratio proves that the walk
+    would reach it later (_in_basin).  Otherwise each polynomial is rooted
+    at most once, and only when the walk first reads it: the fixed-point
+    quartic when a tail the certificate declines names an equilibrium, or
+    when the walk reaches step 1024 (or ends sooner) with no settled tail
+    and _repels_everywhere declines; the 2-cycle sextic when such a tail
+    names a 2-cycle, when no equilibrium is non-repelling at that point, or
+    for the proximity pass.  A tail below -MATCH_TOL roots nothing.  So a
+    set whose 2-cycle search fails still gets a verdict from an orbit that
+    never roots the sextic.  An orbit that lands exactly on the limit within
+    a few steps (the preimage-set case) gets the exact-landing verdict.  If no limit can be identified within the budget the empirical
     oracle's class is returned, with rule ``oracle``; only then does this
     step run the oracle.  The oracle reads the walked ratios and walks
     on only past them.  Both take every new ratio from ``walk_on``: once the
@@ -1120,7 +1116,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         sigma = params.b + 2.0 * params.c + 3.0 * params.d
         # only sigma = -1 (T1.c2) reads the evidence
         if at_one and abs(sigma + 1.0) <= EPS_CRIT:
-            evidence = subsequence_monotonicity(_mirrored_orbit(x_minus1, x0, values), 1, 0)
+            evidence = subsequence_monotonicity(_mirrored_orbit(values), 1, 0)
         return classify_equilibrium_limit(params, eq, evidence), values
 
     if cyc is not None:
@@ -1133,7 +1129,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         evidence = None
         # only a multiplier of +1 (T2.c2) reads the evidence
         if cyc.unit_product and abs(cyc.multiplier - 1.0) <= EPS_SEARCHED:
-            straj = _mirrored_orbit(x_minus1, x0, values)
+            straj = _mirrored_orbit(values)
             ev0 = subsequence_monotonicity(straj, 2, 0)
             ev1 = subsequence_monotonicity(straj, 2, 1)
             evidence = ev0 if ev0 == ev1 else None

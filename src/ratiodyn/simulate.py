@@ -544,15 +544,17 @@ def empirical_class(
 ) -> str:
     """Brute-force oracle: iterate and call the asymptotic class from evidence.
 
-    Divergence / vanishing require crossing THETA_UP / THETA_DOWN decades with
-    a confirming trend over the trailing 10% of steps; bounded orbits are
-    called once their tail (or its even/odd split) stabilizes.
+    Divergence / vanishing require crossing THETA_UP / THETA_DOWN decades
+    from |x_minus1| with a confirming trend over the trailing 10% of steps;
+    bounded orbits are called once their tail (or its even/odd split)
+    stabilizes.  The equation is homogeneous of degree 1, so the class, like
+    the walk, is the same from (lambda x_minus1, lambda x0), lambda = 2^k.
 
     The checks run at the end c of each ORACLE_CHUNK-step chunk and at
-    ``budget``.  They read one magnitude: log10 |x_c| is the float sum, chunk
-    by chunk, of log10 |P| for the product P of each chunk's ratios, and at
-    a step j inside the chunk that starts at d, log10 |x_j| is log10 |x_d|
-    plus log10 |t_(d+1) ... t_j|.  The products are taken left to right
+    ``budget``.  They read one magnitude: l_c = log10 |x_c / x_minus1| is
+    log10 |t_0| plus the float sum, chunk by chunk, of log10 |P| for the
+    product P of each chunk's ratios, and at a step j inside the chunk that
+    starts at d, l_j is l_d plus log10 |t_(d+1) ... t_j|.  The products are taken left to right
     with exact exponents (``_partial_logs``).  The trend looks back from c
     to step c - _trend_lag(c + 1); the tail checks read the last
     2 TAIL_WINDOW steps, and skip a window whose last values cannot settle
@@ -586,7 +588,7 @@ def empirical_class(
     # back at most _trend_lag(budget + 1) steps.  Their reads are not kept:
     # ~40 lists of logs held alive slowed all of classify by ~5%.
     recent = deque(maxlen=_trend_lag(budget + 1) // ORACLE_CHUNK + 3)
-    lm, s, done = math.log10(abs(x0)), (1 if x0 > 0 else -1), 0
+    lm, s, done = math.log10(abs(t0)), (1 if x0 > 0 else -1), 0
     for c in chain(range(ORACLE_CHUNK, budget, ORACLE_CHUNK), (budget,)):
         n = c - done
         # a slice, not a copy of the whole walk; the walk goes on past its end
@@ -614,7 +616,7 @@ def empirical_class(
                 return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
             if key:
                 reads[key] = read
-        last = lm + read.log(-1)  # log10 |x_c|
+        last = lm + read.log(-1)  # log10 |x_c / x_minus1|
         recent.append((done, lm, s, ratios))
         if last > THETA_UP or last < THETA_DOWN:
             ahead = _trend_lag(c + 1)  # the trend looks back to step c - ahead

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,12 @@ from ratiodyn.classify import (
     classify_remark,
     _Limits,
     _certify,
+    _enclose,
     _identify,
     _in_basin,
     _landing_index,
     _mean_distance,
+    _phi_padded,
     _repels_everywhere,
     _slope_bound,
     _turns_negative,
@@ -50,8 +53,8 @@ from ratiodyn.ratio_map import (
     phi_prime,
 )
 from ratiodyn.simulate import (
-    COMPLETED, DECREASING, INCREASING, LimitReport, RatioTrajectory, detect_ratio_limit,
-    empirical_class, iterate_ratio,
+    COMPLETED, DECREASING, INCREASING, LimitReport, RatioTrajectory, advance_ratio,
+    detect_ratio_limit, empirical_class, iterate_ratio,
 )
 from ratiodyn.tolerances import DEFAULT_BUDGET, EPS_SEARCHED, ROOT_TOL, TAIL_TOL, TAIL_WINDOW
 
@@ -748,8 +751,8 @@ def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
     module = sys.modules["ratiodyn.classify"]
     real, named = module._certify, []
 
-    def counting(det, params):
-        certified = real(det, params)
+    def counting(values, params):
+        certified = real(values, params)
         named[-1] |= certified is not None
         return certified
 
@@ -759,7 +762,7 @@ def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
     certified = verdicts()
     # most of these orbits settle on a hyperbolic limit off the unit band
     assert sum(named) > len(inputs) / 2
-    monkeypatch.setattr(module, "_certify", lambda det, params: None)
+    monkeypatch.setattr(module, "_certify", lambda values, params: None)
     matched = verdicts()
     differ = [
         (inp, v, w) for inp, v, w in zip(inputs, certified, matched)
@@ -768,7 +771,16 @@ def test_the_certificate_names_the_limit_the_roots_name(monkeypatch):
     assert differ == []
 
 
+def exact_phi(params, t):
+    """phi(t) as an exact rational, for the float parameters and t."""
+    a, b, c, d, t = map(Fraction, (params.a, params.b, params.c, params.d, t))
+    return (((a * t + b) * t + c) * t + d) / t ** 3
+
+
 def test_slope_bound_covers_phi_prime():
+    """On each window, _slope_bound covers |phi'|, _enclose's [f - s, f + s]
+    holds the exact phi of every sampled point, and _phi_padded's float is
+    the ratio walk's next ratio, bit for bit."""
     rng = random.Random(23)
     vertex_needed = 0
     for _ in range(400):
@@ -792,15 +804,27 @@ def test_slope_bound_covers_phi_prime():
         # the bound the window's ends alone would give
         ends = max(abs(phi_prime(params, t) * t ** 4) for t in (lo, hi)) / lo ** 4
         vertex_needed += steepest > ends
+
+        m = (lo + hi) * 0.5
+        r = max(hi - m, m - lo)
+        f, s, slope, pad = _enclose(params, m, r)
+        assert (f, pad) == _phi_padded(params, m) and slope >= steepest
+        assert abs(exact_phi(params, m) - Fraction(f)) <= pad
+        # the float r may fall short of lo's distance to m by a rounding
+        for t in (t for t in ts if abs(Fraction(t) - Fraction(m)) <= r):
+            assert abs(exact_phi(params, t) - Fraction(f)) <= s, (params, m, r, t)
+            walked = []
+            advance_ratio(params, t, 1, walked)
+            assert _phi_padded(params, t)[0].hex() == walked[0].hex()
     assert vertex_needed > 20
 
 
 def test_the_certificate_declines_where_it_proves_nothing():
     def eq(m):
-        return LimitReport("equilibrium", (m,), 0.0)
+        return (m,)
 
     def cyc(p, q):
-        return LimitReport("two_cycle", (p, q), 0.0)
+        return (p, q)
 
     ones = Parameters(1.0, 1.0, 1.0, 1.0)
     (e,) = equilibria(ones)
@@ -894,7 +918,7 @@ def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeyp
 def box_inputs(seed, count):
     """The benchmark's ``box_classify`` inputs (perfbench/workloads.py):
     ``count`` (params, x0) from the shifted Kronecker sequence of ``seed``
-    over ROADMAP item 3's fuzz box."""
+    over the fuzz box on which the 2-cycle search's PairingError was found."""
     box = ((0.05, 3.0), (0.05, 3.0), (-6.0, 3.0), (0.05, 3.0), (0.2, 5.0))
     g = 2.0
     for _ in range(64):  # the positive root of g^6 = g + 1
@@ -1274,3 +1298,23 @@ def test_a_negative_orbit_reads_as_its_mirror():
         UNDETERMINED, "T1.c2", WHOLE_INCREASING,
         notes="increasing with c <= -3d: outcome not covered; oracle=diverges_to_infinity",
     )
+
+
+def test_every_scale_of_the_start_gets_one_answer():
+    """The equation is homogeneous of degree 1, so lambda x_n solves it from
+    (lambda x_{-1}, lambda x0), and classify answers alike: for lambda = 2^k
+    the walk is bit-identical, and the oracle counts its 12 decades from
+    |x_{-1}|.  The five seed-0 box inputs listed first, and most surface
+    draws, answered otherwise at some scale when the decades counted from 1."""
+    scales = [math.ldexp(1.0, k) for k in (-1000, 30, 1000)]
+    box = box_inputs(0, 3000)
+    inputs = [(box[i], {}) for i in (79, 136, 966, 2531, 2573)] + [(inp, {}) for inp in box[:100]]
+    rng = random.Random(2)
+    inputs += [(inp, {"budget": 20000}) for inp in surface_draws(rng, 30, 1) + surface_draws(rng, 30, -1)]
+    for (params, x0), kwargs in inputs:
+        answer = repr(classify(params, 1.0, x0, **kwargs))
+        for lam in scales:
+            assert repr(classify(params, lam, lam * x0, **kwargs)) == answer, (params, x0, lam)
+    # Example A's orbit grows only like n^0.55: 2.4 decades in 1e5 steps
+    big = math.ldexp(1.0, 40)
+    assert classify(NEUTRAL_EXAMPLE, big, 1.5 * big).notes.endswith("oracle=undetermined")

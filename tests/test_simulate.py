@@ -305,12 +305,14 @@ def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
     alone = checks()
     ends = [*range(256, 5000, 256), 5000]
     assert alone[0] == UNDETERMINED and len(alone[1]) == len(ends)
-    # the oracle's log10 |x_n| come from chunk products, the trajectory's
-    # from per-step sums; |log10 |x_n|| stays under 3 here, so each errs
-    # by under 5000 steps * 4 * 3 * 2^-53 < 1e-11, and the signs agree
+    # the oracle's log10 |x_n / x_{-1}| come from chunk products, the
+    # trajectory's log10 |x_n| from per-step sums, less log10 |x_{-1}| here;
+    # |log10 |x_n|| stays under 3 here, so each errs by under
+    # 5000 steps * 4 * 3 * 2^-53 < 1e-11, and the signs agree
     traj = iterate_solution(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000)
-    logs, signs = traj.log_magnitudes, traj.signs  # x_n at index n + 1
-    assert max(map(abs, logs)) < 3.0
+    assert max(map(abs, traj.log_magnitudes)) < 3.0
+    logs = [lm - math.log10(2.0) for lm in traj.log_magnitudes]  # x_n at index n + 1
+    signs = traj.signs
     for c, (top, last, third, flip) in zip(ends, alone[1]):
         assert abs(top - max(logs[c - 62 : c + 2])) < 1e-11, c
         assert abs(last - logs[c + 1]) < 1e-11 and abs(third - logs[c - 1]) < 1e-11, c
