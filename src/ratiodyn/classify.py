@@ -587,6 +587,94 @@ def _in_basin(params, values, done, budget, tol):
     return eq
 
 
+def _flip_taylor(params):
+    """The Taylor coefficients at t = 1, ascending, of N and of q for the
+    surface point of _flips_to_one, as exact rationals.  They are formed
+    as integers over a power of 2, D, that the float a and b share: D N
+    and D^4 q have integer coefficients."""
+    from fractions import Fraction  # only the flip band reads exact rationals
+
+    (a, da), (b, db) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
+    D = max(da, db)
+    a, b = a * (D // da), b * (D // db)
+    c, d = 2 * D - 3 * a - 2 * b, 2 * a + b - D
+    n = [a + b + c + d, 3 * a + 2 * b + c, 3 * a + b, a]  # D N(1 + e)
+    # with a, b, c, d here D times a, b, c', d' and n = D N:
+    # D^4 (M - t N^3) = (((a - D t) n + b D t^3) n + c D^2 t^6) n + d D^3 t^9,
+    # whose terms of degree 0 to 2 in e vanish
+    p = [a - D, -D]
+    for coef, power in ((b * D, 3), (c * D * D, 6), (d * D ** 3, 9)):
+        out = [coef * math.comb(power, j) for j in range(len(p) + 3)]  # p n + coef t^power
+        for i, x in enumerate(p):
+            for j, y in enumerate(n):
+                out[i + j] += x * y
+        p = out
+    return [Fraction(x, D) for x in n], [Fraction(x, D ** 4) for x in p[3:]]
+
+
+def _flips_to_one(taylor, values):
+    """Whether the exact ratio orbit from t = values[-1], the walk's ratio
+    at a check, provably converges to t = 1, on the flip band; ``taylor``
+    is _flip_taylor's.  Where it does, the walk may end there with the
+    equilibrium at 1, whose verdict is T1.c3's.
+
+    Premise.  As the T1.c3 branch does, the probe takes
+    |a + b + c + d - 1| <= EPS_CRIT and |sigma - 1| <= EPS_CRIT for the
+    surface, and reasons about its one point with the float a and b:
+    c' = 2 - 3a - 2b and d' = 2a + b - 1, on both surfaces.  Let
+    N = a t^3 + b t^2 + c' t + d', so phi(t) = N / t^3, and g = phi∘phi.
+    For t != 0 with N(t) != 0, g(t) = M / N^3 with
+    M = a N^3 + b N^2 t^3 + c' N t^6 + d' t^9.  At the flip phi(1) = 1 and
+    phi'(1) = -1, so g(1) = 1, g'(1) = 1 and g''(1) = 0: (t - 1)^3 divides
+    M - t N^3, q is the quotient, of degree 7, and
+    g(t) - t = (t - 1)^3 k(t) with k = q / N^3 (Dannan, Elaydi and
+    Ponomarenko, *J. Difference Equ. Appl.* 9, 2003; Kuznetsov, *Elements
+    of Applied Bifurcation Theory*, 3rd ed., 2004, ch. 4).  k(1) = q(1) is
+    C = -(2 phi'''(1) + 3 phi''(1)^2) / 6.
+
+    The window.  Let t = values[-1], delta the larger of |t - 1| and
+    |phi(t) - 1|, both exact, and W = [1 - delta, 1 + delta].  With n_j and
+    q_j the Taylor coefficients at 1, on W N is at least
+    N_lo = n_0 - sum |n_j| delta^j (j >= 1), q at most
+    q_0 + sum |q_j| delta^j and |q| at most Q = |q_0| + sum |q_j| delta^j.
+    The probe requires N_lo > 0, that bound on q below 0, and
+    delta^2 Q < N_lo^3.  As n_1 = N'(1) = 3a + 2b + c' = 2, N_lo > 0 gives
+    delta < 1/2.  Then on W, t > 0 and N > 0, so g is defined and
+    continuous, k < 0 and (t - 1)^2 |k| < 1.  So for t != 1 in W,
+    g(t) - 1 = (t - 1) h(t) with h = 1 + (t - 1)^2 k in (0, 1): g(t) lies
+    strictly between t and 1, in W.  The iterates of g from a point of W
+    are monotone and stay in W, so they converge to a fixed point of g in
+    W, which is 1, as h < 1 elsewhere.  t and phi(t) lie in W, so both
+    parities of the orbit from t converge to 1.
+
+    The probe also declines where one of the first LANDING_STEPS + 1
+    ratios lies within LANDING_TOL of 1, so that the landing test still
+    reads the whole walk there.
+    """
+    t = values[-1]
+    n, q = taylor
+    # a t outside (0, 2), nan or inf included, has delta >= 1 > 1/2
+    if not (0.0 < t < 2.0 and q[0] < 0) or any(
+        abs(v - 1.0) <= LANDING_TOL for v in values[: LANDING_STEPS + 1]
+    ):
+        return False
+    from fractions import Fraction
+
+    s = Fraction(t)
+    e = s - 1
+    at_t = ((n[3] * e + n[2]) * e + n[1]) * e + n[0]  # N(t)
+    delta = max(abs(e), abs(at_t / s ** 3 - 1))
+
+    def spread(coefs):  # the sum over j >= 1 of |coefs[j]| delta^j
+        out = 0
+        for x in reversed(coefs[1:]):
+            out = (out + abs(x)) * delta
+        return out
+
+    n_lo, q_spread = n[0] - spread(n), spread(q)
+    return n_lo > 0 and q[0] + q_spread < 0 and delta * delta * (q_spread - q[0]) < n_lo ** 3
+
+
 def _turns_negative(params, m, r):
     """Whether the orbit of every point of [m - r, m + r] lies in
     [_TINY, _HUGE] for some steps and then wholly below 0, within
@@ -728,13 +816,15 @@ def _repels_everywhere(params):
 class _Limits:
     """The positive equilibria and 2-cycles of one parameter set, each
     polynomial rooted once, on first use: most orbits settle on an
-    equilibrium and never read the 2-cycles, or the other way round."""
+    equilibrium and never read the 2-cycles, or the other way round.  The
+    critical-orbit certificate and the flip probe's polynomials are
+    likewise taken once, where the walk first reads them."""
 
-    __slots__ = ("params", "_eqs", "_cycles", "_candidate")
+    __slots__ = ("params", "_eqs", "_cycles", "_candidate", "_repels", "_flip")
 
     def __init__(self, params):
         self.params = params
-        self._eqs = self._cycles = self._candidate = None
+        self._eqs = self._cycles = self._candidate = self._repels = self._flip = None
 
     def eqs(self):
         if self._eqs is None:
@@ -746,14 +836,25 @@ class _Limits:
             self._cycles = find_two_cycles(self.params)
         return self._cycles
 
+    def repels(self):
+        """_repels_everywhere, decided once."""
+        if self._repels is None:
+            self._repels = _repels_everywhere(self.params)
+        return self._repels
+
+    def flip(self):
+        """_flip_taylor, computed once."""
+        if self._flip is None:
+            self._flip = _flip_taylor(self.params)
+        return self._flip
+
     def candidate(self):
         """Whether some limit is one the orbit can near without landing on
         it, decided once.  Where the critical orbits show that every
-        positive cycle repels (_repels_everywhere), no; else from the
-        roots, and the 2-cycles are rooted only when no equilibrium is
-        one."""
+        positive cycle repels (repels), no; else from the roots, and the
+        2-cycles are rooted only when no equilibrium is one."""
         if self._candidate is None:
-            self._candidate = not _repels_everywhere(self.params) and any(
+            self._candidate = not self.repels() and any(
                 abs(o.multiplier) <= 1.0 + EPS_SEARCHED
                 for limits in (self.eqs, self.cycles) for o in limits()
             )
@@ -1030,7 +1131,11 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     verdict T1.a, T1.b, T2.a or T2.b.  Before the detector reads a check's
     window, the walk stops with an equilibrium's verdict where the
     certificate on the window around the last ratio proves that the walk
-    would reach it later (_in_basin).  Otherwise each polynomial is rooted
+    would reach it later (_in_basin).  On the flip band, where the T1.c3
+    branch's tests hold, it also stops with the equilibrium at 1 where the
+    exact orbit from the last ratio provably converges to it
+    (_flips_to_one); the landing test and the theorem branch then read the
+    walk so far, without rooting.  Otherwise each polynomial is rooted
     at most once, and only when the walk first reads it: the fixed-point
     quartic when a tail the certificate declines names an equilibrium, or
     when the walk reaches step 1024 (or ends sooner) with no settled tail
@@ -1039,7 +1144,8 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     for the proximity pass.  A tail below -MATCH_TOL roots nothing.  So a
     set whose 2-cycle search fails still gets a verdict from an orbit that
     never roots the sextic.  An orbit that lands exactly on the limit within
-    a few steps (the preimage-set case) gets the exact-landing verdict.  If no limit can be identified within the budget the empirical
+    a few steps (the preimage-set case) gets the exact-landing verdict.  If
+    no limit can be identified within the budget the empirical
     oracle's class is returned, with rule ``oracle``; only then does this
     step run the oracle.  The oracle reads the walked ratios and walks
     on only past them.  Both take every new ratio from ``walk_on``: once the
@@ -1054,12 +1160,17 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     last two quarters, no later check and no proximity pass can name a
     limit.  The verdict is then the oracle's class, without rooting either
     polynomial or replaying the cycle to the budget.  A cycle of period 1
-    or 2, or one whose rotations settle, is walked on as before.
+    or 2, or one whose rotations settle, is walked on as before.  At step
+    1024 the critical-orbit certificate runs before those rotation checks,
+    and where it holds the walk stops as it would after them.
 
     Arguments and their checks are classify's.
     """
     t = _check_walk(x_minus1, x0, budget, tol)
     limits = _Limits(params)
+    a, b, c, d = params.a, params.b, params.c, params.d
+    # the T1.c3 branch's own tests: only there does the flip probe run
+    at_flip = abs(a + b + c + d - 1.0) <= EPS_CRIT and abs(b + 2.0 * c + 3.0 * d - 1.0) <= EPS_CRIT
 
     # flat doubles: a 1e5-step walk keeps ~0.8 MB here, not ~3.2 MB of objects
     values = array("d", [t])
@@ -1078,6 +1189,10 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         eq = _in_basin(params, values, done, budget, tol)
         if eq is not None:
             return classify_equilibrium_limit(params, eq), values
+        if at_flip and _flips_to_one(limits.flip(), values):
+            mu = phi_prime(params, 1.0)
+            eq = Equilibrium(1.0, mu, classify_multiplier(mu))
+            break
         det = detect_ratio_limit(RatioTrajectory(values, COMPLETED), tol)
         if det.kind != "none":
             eq, cyc = _identify(det, limits)
@@ -1089,6 +1204,8 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
             ):
                 break
             eq = cyc = None
+        elif done == CHUNK and limits.repels():
+            break  # the stop at step CHUNK below, before the closure's rotation checks
         elif since is not None and _settles_nowhere(values, since, k, done, budget, tol):
             return _oracle_verdict(params, x_minus1, x0, budget, tol, values)
         if not math.isfinite(values[-1]):
@@ -1097,7 +1214,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
         if done == CHUNK and not limits.candidate():
             break
 
-    if det.kind == "none" and limits.candidate():
+    if eq is None and det.kind == "none" and limits.candidate():
         hit = _proximity_identify(values, limits.eqs(), limits.cycles())
         if isinstance(hit, Equilibrium):
             eq = hit

@@ -26,6 +26,8 @@ from ratiodyn.classify import (
     _Limits,
     _certify,
     _enclose,
+    _flip_taylor,
+    _flips_to_one,
     _identify,
     _in_basin,
     _landing_index,
@@ -329,9 +331,15 @@ def test_walk_stops_after_one_chunk_when_every_limit_repels(monkeypatch):
     assert steps == 1024
 
 
+# a + b + c + d = 1 and sigma = -1: the equilibrium at 1 is parabolic
+PARABOLIC_EXAMPLE = Parameters(1.5, 1.2, -2.9, 1.2)
+
+
 def test_walk_keeps_its_budget_near_a_neutral_limit(monkeypatch):
-    v, steps = walked_steps(monkeypatch, NEUTRAL_EXAMPLE, 1.5)
-    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    # no certificate names the parabolic equilibrium, so the walk goes on
+    # to the proximity pass
+    v, steps = walked_steps(monkeypatch, PARABOLIC_EXAMPLE, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c2")
     assert steps == 100000
 
 
@@ -426,7 +434,8 @@ def test_classify_walks_each_ratio_once(monkeypatch):
     steps = count_steps(monkeypatch)
     v = classify(NEUTRAL_EXAMPLE, 1.0, 1.5)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
-    # the oracle reads the 1e5 ratios classify walked and walks none itself
+    # the oracle reads the 65 ratios classify walked, to the flip probe's
+    # stop, and walks the rest of its budget itself
     assert steps[0] == 100000
 
 
@@ -633,7 +642,7 @@ def test_monotonicity_evidence_only_where_a_verdict_reads_it(monkeypatch):
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
     assert calls == []
     # sigma = -1 (T1.c2): the verdict branches on whether {x_n} increases
-    v, calls = monotonicity_calls(monkeypatch, Parameters(1.5, 1.2, -2.9, 1.2), 1.5)
+    v, calls = monotonicity_calls(monkeypatch, PARABOLIC_EXAMPLE, 1.5)
     assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c2")
     assert calls == [(1, 0)]
 
@@ -679,10 +688,11 @@ def test_each_polynomial_is_rooted_only_where_the_walk_reads_it(monkeypatch):
     v, calls = rooting_calls(monkeypatch, *box_inputs(0, 1540)[1539])
     assert (v.asymptotic_class, v.rule) == (CONVERGES_TO_ZERO, "oracle")
     assert calls == {"equilibria": 1, "find_two_cycles": 1}
-    # the neutral equilibrium at 1 keeps the walk going without the 2-cycles,
-    # and the proximity pass reads both analyses without rooting either again
-    v, calls = rooting_calls(monkeypatch, NEUTRAL_EXAMPLE, 1.5)
-    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
+    # the parabolic equilibrium at 1 keeps the walk going without the
+    # 2-cycles, and the proximity pass reads both analyses without rooting
+    # either again
+    v, calls = rooting_calls(monkeypatch, PARABOLIC_EXAMPLE, 1.5)
+    assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c2")
     assert calls == {"equilibria": 1, "find_two_cycles": 1}
 
 
@@ -979,8 +989,9 @@ def test_the_stops_change_no_verdict(monkeypatch):
     live = []
     for group, inputs in groups.items():
         live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
-    # how many walks of each group stop at closure
-    assert stops == {"box": 272, "tiny_a": 0, "surfaces": 4}
+    # how many walks of each group stop at closure; 31 more box walks close
+    # by step 1024 and stop there at the critical-orbit certificate instead
+    assert stops == {"box": 241, "tiny_a": 0, "surfaces": 4}
     monkeypatch.setattr(module, "_settles_nowhere", lambda *args: False)
     monkeypatch.setattr(sim, "_far_apart", lambda t, s, tol: False)
     inputs = [inp for inputs in groups.values() for inp in inputs]
@@ -1266,8 +1277,9 @@ def test_the_critical_orbit_certificate_changes_no_verdict(monkeypatch):
     live = []
     for group, inputs in groups.items():
         live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
-    # how many walks of each group it answers without rooting
-    assert decided == {"box": 206, "golden": 6, "surfaces": 0, "tiny_a": 0}
+    # how many walks of each group it answers without rooting, 31 of the
+    # box's before the stop at closure would
+    assert decided == {"box": 237, "golden": 6, "surfaces": 0, "tiny_a": 0}
     monkeypatch.setattr(module, "_repels_everywhere", lambda params: False)
     inputs = [inp for inputs in groups.values() for inp in inputs]
     plain = [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
@@ -1318,3 +1330,117 @@ def test_every_scale_of_the_start_gets_one_answer():
     # Example A's orbit grows only like n^0.55: 2.4 decades in 1e5 steps
     big = math.ldexp(1.0, 40)
     assert classify(NEUTRAL_EXAMPLE, big, 1.5 * big).notes.endswith("oracle=undetermined")
+
+
+def probe_calls(monkeypatch):
+    """A record of the flip probe's answers, one per call."""
+    module = sys.modules["ratiodyn.classify"]
+    real, answers = module._flips_to_one, []
+
+    def recording(taylor, values):
+        answers.append(real(taylor, values))
+        return answers[-1]
+
+    monkeypatch.setattr(module, "_flips_to_one", recording)
+    return answers
+
+
+def test_the_flip_probe_ends_the_neutral_walk(monkeypatch):
+    """On Example A the probe certifies the orbit at the first check, and
+    the walk ends there with T1.c3, without rooting either polynomial; the
+    oracle walks the rest of the budget itself."""
+    module = sys.modules["ratiodyn.classify"]
+    real, walked = module.walk_on, [0]
+
+    def counting(params, values, n, k=None):
+        chunk, k, stopped = real(params, values, n, k)
+        walked[0] += len(chunk)
+        return chunk, k, stopped
+
+    monkeypatch.setattr(module, "walk_on", counting)
+    answers = probe_calls(monkeypatch)
+    for x0 in (1.5, 3.0, 0.8):
+        walked[0] = 0
+        answers.clear()
+        v, calls = rooting_calls(monkeypatch, NEUTRAL_EXAMPLE, x0)
+        assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3"), x0
+        assert v.notes == "oracle=" + UNDETERMINED
+        assert walked[0] <= 64 and answers == [True], x0
+        assert calls == {"equilibria": 0, "find_two_cycles": 0}, x0
+    # next to 1, where the proximity pass did not fire within the budget
+    for x0 in (1.001, 0.999):
+        v = classify(NEUTRAL_EXAMPLE, 1.0, x0)
+        assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3"), x0
+
+
+# sigma = +1 with k(1) = 0.108 > 0: phi∘phi moves the points near 1 away
+# from it
+REPELLING_FLIP = Parameters(
+    0.09059531159311031, 0.9036451924279802, -0.07907631963529148, 0.0848358156142009
+)
+
+
+def test_the_flip_probe_declines_where_it_must(monkeypatch):
+    answers = probe_calls(monkeypatch)
+    # off the band, and at sigma = -1, it never runs
+    for params, x0 in ((Parameters(1.0, 1.0, 1.0, 1.0), 1.5), (UNIT_CYCLE_EXAMPLE, 1.3),
+                       (PARABOLIC_EXAMPLE, 1.5)):
+        classify(params, 1.0, x0)
+        assert answers == [], params
+    # k(1) > 0; a landing on 1 at step 0; Example A from 0.5, whose orbit
+    # settles on a 2-cycle with p q > 1
+    taylor = _flip_taylor(REPELLING_FLIP)
+    assert taylor[1][0] > 0
+    for params, x0, rule in ((REPELLING_FLIP, 0.9030163539168607, "T2.a"),
+                             (NEUTRAL_EXAMPLE, 1.0, "T1.cS"), (NEUTRAL_EXAMPLE, 0.5, "T2.a")):
+        answers.clear()
+        assert classify(params, 1.0, x0).rule == rule, (params, x0)
+        assert answers and not any(answers), (params, x0)
+    # a ratio within LANDING_TOL of 1 among the first LANDING_STEPS + 1
+    # declines, wherever the walk then is
+    taylor = _flip_taylor(NEUTRAL_EXAMPLE)
+    walk = array("d", iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 64).values)
+    assert _flips_to_one(taylor, walk)
+    for step, t in ((LANDING_STEPS, 1.0 + 5e-13), (LANDING_STEPS + 1, 1.0)):
+        landed = array("d", walk)
+        landed[step] = t
+        assert _flips_to_one(taylor, landed) == (step > LANDING_STEPS), step
+    # a ratio at or beyond the window's reach: delta would be 1 or more
+    for t in (0.0, -0.5, 2.0, math.inf, math.nan):
+        assert not _flips_to_one(taylor, walk[:-1] + array("d", [t])), t
+
+
+def test_the_flip_probe_changes_no_verdict_off_the_band(monkeypatch):
+    """With the probe switched off, the seed-0 box and the tiny-a grid
+    answer alike: the band test keeps it from running there."""
+    inputs = box_inputs(0, 3000) + tiny_a_grid()
+    answers = probe_calls(monkeypatch)
+    live = [verdict_or_error(params, x0) for params, x0 in inputs]
+    assert answers == []
+    monkeypatch.setattr(sys.modules["ratiodyn.classify"], "_flips_to_one", lambda *args: False)
+    assert [verdict_or_error(params, x0) for params, x0 in inputs] == live
+
+
+def test_the_flip_identity():
+    """On the surface point, (t - 1)^3 divides M - t N^3, the quotient's
+    value at 1 is C = -(2 phi'''(1) + 3 phi''(1)^2) / 6, and _flip_taylor
+    gives the Taylor coefficients at 1 of N and of the quotient."""
+    sp = pytest.importorskip("sympy")
+    a, b, t = sp.symbols("a b t")
+    c, d = 2 - 3 * a - 2 * b, 2 * a + b - 1
+    n = a * t**3 + b * t**2 + c * t + d
+    m = a * n**3 + b * n**2 * t**3 + c * n * t**6 + d * t**9
+    q, rem = sp.div(sp.expand(m - t * n**3), sp.expand((t - 1) ** 3), t)
+    assert rem == 0 and sp.degree(q, t) == 7
+    second, third = 2 * b + 6 * c + 12 * d, -6 * b - 24 * c - 60 * d
+    assert sp.expand(q.subs(t, 1) - (-(2 * third + 3 * second**2) / 6)) == 0
+    assert sp.expand(n.subs(t, 1)) == 1
+    for params in (NEUTRAL_EXAMPLE, REPELLING_FLIP):
+        exact = {a: sp.Rational(Fraction(params.a)), b: sp.Rational(Fraction(params.b))}
+        e = sp.symbols("e")
+        want = [
+            [sp.expand(p.subs(exact).subs(t, 1 + e)).coeff(e, j) for j in range(deg + 1)]
+            for p, deg in ((n, 3), (q, 7))
+        ]
+        got = _flip_taylor(params)
+        assert [[sp.Rational(x) for x in coefs] for coefs in got] == want, params

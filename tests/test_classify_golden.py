@@ -40,7 +40,8 @@ FORMER_PAIRING_ERRORS = (
 BOX_COUNT = 100
 NEUTRAL_EXAMPLE = (0.2, 1.7, -2.0, 1.1)
 # x0 = 1.001 lies in the gap near t = 1 where the proximity test does not
-# fire within the budget; its answer is pinned as it is, not as it should be
+# fire within the budget; the flip probe certifies its orbit at step 64, so
+# it answers T1.c3 like the other starts that approach 1
 NEUTRAL_STARTS = (0.5, 0.85, 0.99, 1.001, 1.02, 1.5, 2.2, 3.0)
 UNIT_CYCLE_EXAMPLE = (0.1, 1.79, -2.0, 1.0)
 UNIT_CYCLE_STARTS = (1.0, 3.0)
