@@ -765,7 +765,7 @@ def _repels_everywhere(params):
       an end, say p = l, then v(p) = v(s) = 1 puts G' > 1 on (p, s), so
       G(t) > t there, and no point of W near p moves towards p.
 
-    So O is no limit the ratios can near without landing on it.  _Limits
+    So O is no limit the ratios can near without landing on it.  _nearable
     counts a rooted equilibrium or 2-cycle as one where its rooted
     |multiplier| is at most 1 + EPS_SEARCHED, the root search's error:
     the certificate proves |multiplier| > 1 for the exact cycle, so the
@@ -813,6 +813,13 @@ def _repels_everywhere(params):
     return True
 
 
+def _nearable(limit):
+    """Whether a rooted equilibrium or 2-cycle is a limit the orbit can near
+    without landing on it: |multiplier| <= 1 + EPS_SEARCHED, the root
+    search's error."""
+    return abs(limit.multiplier) <= 1.0 + EPS_SEARCHED
+
+
 class _Limits:
     """The positive equilibria and 2-cycles of one parameter set, each
     polynomial rooted once, on first use: most orbits settle on an
@@ -855,8 +862,7 @@ class _Limits:
         2-cycles are rooted only when no equilibrium is one."""
         if self._candidate is None:
             self._candidate = not self.repels() and any(
-                abs(o.multiplier) <= 1.0 + EPS_SEARCHED
-                for limits in (self.eqs, self.cycles) for o in limits()
+                _nearable(o) for limits in (self.eqs, self.cycles) for o in limits()
             )
         return self._candidate
 
@@ -882,36 +888,11 @@ def _identify(det, limits):
     return None, named or _nearest_cycle(limits.cycles(), *det.values)
 
 
-def _mean_distance(vals, pts, span=None):
+def _mean_distance(vals, pts):
     """Mean over ``vals`` of the distance from each t to the nearest of
-    ``pts`` (one equilibrium, or a 2-cycle's p < q), as floats.  A 2-cycle
-    reads ``span``, which is ``(min(vals), max(vals))``."""
-    if len(pts) == 2:
-        p, q = pts
-        lo, hi = span
-        # Rounding is monotone and symmetric in sign.  So if hi - p < q - hi
-        # in floats, then for every t <= hi the float |t - p| is at most
-        # the float |t - q|: for p <= t, fl(t - p) <= fl(hi - p) <
-        # fl(q - hi) <= fl(q - t), since t - p <= hi - p and q - hi <= q - t
-        # exactly; for t < p, p - t < q - t exactly.  The float min of the
-        # two is then |t - p| for every t, and the mirror holds for q.  A
-        # non-finite t is as far from p as from q.  min and max pass over a
-        # nan unless it comes first, and then both tests fail.
-        if hi - p < q - hi:
-            pts = (p,)
-        elif q - lo < lo - p:
-            pts = (q,)
+    ``pts`` (one equilibrium, or a 2-cycle's p and q), as floats."""
     dists = [map(abs, map(operator.sub, vals, repeat(v))) for v in pts]
     return sum(map(min, *dists) if len(dists) > 1 else dists[0]) / len(vals)
-
-
-def _spans_rule_out(late, early, pts, scale, pad):
-    """Whether the least and largest values of the late and early quarters
-    (``late`` and ``early``) show that _proximity_identify's float tests
-    fail for the limit at ``pts`` (see there)."""
-    near = min(max(late[0] - v, v - late[1], 0.0) for v in pts) * (1.0 - pad)
-    far = min(max(abs(early[0] - v), abs(early[1] - v)) for v in pts)
-    return near >= 0.02 * scale or near > 0.95 * far * (1.0 + pad)
 
 
 def _proximity_identify(values, eqs, cycles):
@@ -919,29 +900,10 @@ def _proximity_identify(values, eqs, cycles):
     attractor; used when the tail-spread detector has not converged yet
     (neutral multipliers approach their limit only polynomially fast).
 
-    A limit is named where e_late < 0.02 scale and e_late <= 0.95 e_early,
-    the float mean distances of the last and the second-to-last quarter of
-    the walk.  A shortcut skips the mean distances where those tests must
-    fail, and so changes no answer.
-
-    - Each quarter's least and largest values bound every float distance
-      in it, since rounding is monotone: over the late quarter each is at
-      least ``near``, the float distance of the end nearer to the limit
-      (0 where the limit lies between them), and over the early quarter at
-      most ``far``, the larger of the ends' distances to one point.  A
-      float sum of Q terms of one sign lies within (Q - 1) u / (1 - (Q - 1) u)
-      of the exact sum (u = 2^-53; Higham, *Accuracy and Stability of
-      Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2, and CPython's
-      compensated sum errs less), and the division adds a rounding.  So
-      with pad = 4 (n + 4) u, which covers those and the roundings of the
-      tests below: near (1 - pad) >= 0.02 scale in floats means the first
-      test fails, and near (1 - pad) > 0.95 far (1 + pad) that the second
-      does (_spans_rule_out).  A nan among the values, or an inf in the
-      late quarter, fails the tests in any case; an inf in the early
-      quarter makes ``far`` infinite, which no ``near`` exceeds.
-
-    The proof takes n u <= 2^-20, which any walk of under 8e9 ratios
-    meets, so that the factors (1 +- k u) it uses stay close to 1.
+    Only the limits the orbit can near without landing on them
+    (_nearable) are measured.  One is named where e_late < 0.02 scale and
+    e_late <= 0.95 e_early, the float mean distances of the last and the
+    second-to-last quarter of the walk.
 
     A walk that closed on a float cycle of period 3 or more, early in its
     budget and with no settled tail at any later check, stops at closure
@@ -953,19 +915,12 @@ def _proximity_identify(values, eqs, cycles):
     quarter = n // 4
     early = values[n - 2 * quarter : n - quarter]
     late = values[n - quarter :]
-    limits = [(e, (e.value,)) for e in eqs] + [(c, (c.p, c.q)) for c in cycles]
-
-    # every limit reads each quarter's least and largest value: take them once
-    early_span, late_span = [(min(v), max(v)) for v in (early, late)]
-    pad = 4 * (n + 4) * _U
-
     best = None
-    for obj, pts in limits:
+    for obj in filter(_nearable, [*eqs, *cycles]):
+        pts = (obj.value,) if isinstance(obj, Equilibrium) else (obj.p, obj.q)
         scale = max(1.0, max(abs(v) for v in pts))
-        if _spans_rule_out(late_span, early_span, pts, scale, pad):
-            continue
-        e_late = _mean_distance(late, pts, late_span)
-        if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts, early_span):
+        e_late = _mean_distance(late, pts)
+        if e_late < 0.02 * scale and e_late <= 0.95 * _mean_distance(early, pts):
             if best is None or e_late / scale < best[1]:
                 best = (obj, e_late / scale)
     return None if best is None else best[0]
@@ -1047,18 +1002,20 @@ def _settles_nowhere(values, since, k, done, budget, tol):
     - The proximity pass.  Take n = budget + 1 ratios and quarter = n // 4,
       with since <= n - 2 quarter and m = quarter // k >= _WHOLE_PERIODS.
       Then each of the last two quarters holds m whole periods and fewer
-      than k values more, so each holds every cycle value, and its least
-      and largest values are the cycle's.  For a limit of one point, or a
-      2-cycle's two (_mean_distance reads the cycle's span in both
-      quarters alike), each value's float distance depends on the value
-      alone; let S be their sum over one period.  A float difference is 0
-      only between equal floats, and at most two of the k >= 3 distinct
-      cycle values sit on a limit point: so S > 0.  Each quarter's exact
-      sum of distances lies between m S and (m + 1) S, so
-      e_late >= (m / (m + 1)) e_early > 0 up to the sums' roundings, and
-      21/22 = 0.9545 exceeds 0.95 by more than those can move it
-      (_proximity_identify's bound): the pass names no limit, and which
-      limits the set has is never read.
+      than k values more.  For a limit of one point, or a 2-cycle's two,
+      each value's float distance depends on the value alone; let S be
+      their sum over one period.  A float difference is 0 only between
+      equal floats, and at most two of the k >= 3 distinct cycle values
+      sit on a limit point: so S > 0.  Each quarter's exact sum of
+      distances lies between m S and (m + 1) S, so
+      e_late >= (m / (m + 1)) e_early > 0 up to the roundings.  A float
+      sum of Q <= n terms of one sign errs by at most
+      (Q - 1) u / (1 - (Q - 1) u) relative (u = 2^-53; Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, 4.2).
+      So for n u <= 2^-20, any walk of under 8e9 ratios, the roundings
+      move the test by a factor within 1 +- 2^-18, and 21/22 = 0.9545
+      exceeds 0.95 by more: the pass names no limit, whatever limits the
+      set has.
     - The verdict.  With no settled tail at any later check, the walk
       would have gone on to step CHUNK and stopped there where no limit is
       a candidate, or on to the budget and the proximity pass, which names
@@ -1141,16 +1098,17 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
     when the walk reaches step 1024 (or ends sooner) with no settled tail
     and _repels_everywhere declines; the 2-cycle sextic when such a tail
     names a 2-cycle, when no equilibrium is non-repelling at that point, or
-    for the proximity pass.  A tail below -MATCH_TOL roots nothing.  So a
-    set whose 2-cycle search fails still gets a verdict from an orbit that
-    never roots the sextic.  An orbit that lands exactly on the limit within
-    a few steps (the preimage-set case) gets the exact-landing verdict.  If
-    no limit can be identified within the budget the empirical
-    oracle's class is returned, with rule ``oracle``; only then does this
-    step run the oracle.  The oracle reads the walked ratios and walks
-    on only past them.  Both take every new ratio from ``walk_on``: once the
-    float orbit repeats a value it is periodic for ever, and the walker
-    replays that cycle instead of applying the map, with the same answers.
+    for the proximity pass, which measures only the non-repelling limits
+    (_nearable).  A tail below -MATCH_TOL roots nothing.  So a set whose
+    2-cycle search fails still gets a verdict from an orbit that never
+    roots the sextic.  An orbit that lands exactly on the limit within a few steps (the preimage-set
+    case) gets the exact-landing verdict.  If no limit can be identified
+    within the budget the empirical oracle's class is returned, with rule
+    ``oracle``; only then does this step run the oracle.  The oracle reads
+    the walked ratios and walks on only past them.  Both take every new
+    ratio from ``walk_on``: once the float orbit repeats a value it is
+    periodic for ever, and the walker replays that cycle instead of
+    applying the map, with the same answers.
 
     The walk also stops at the first check after it closes on a float
     cycle of period 3 or more, where its answer at every later check is
@@ -1216,10 +1174,7 @@ def _theorem_verdict(params, x_minus1, x0, budget, tol):
 
     if eq is None and det.kind == "none" and limits.candidate():
         hit = _proximity_identify(values, limits.eqs(), limits.cycles())
-        if isinstance(hit, Equilibrium):
-            eq = hit
-        elif isinstance(hit, TwoCycle):
-            cyc = hit
+        eq, cyc = (hit, None) if isinstance(hit, Equilibrium) else (None, hit)
 
     if eq is not None:
         at_one = abs(eq.value - 1.0) <= _unit_band(params)

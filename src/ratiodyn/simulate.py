@@ -205,9 +205,11 @@ def iterate_ratio(params: Parameters, t0: float, n: int) -> RatioTrajectory:
 
     Stops with status ``hit_zero`` at a ratio whose cube is 0, where the
     next step would divide by zero (``advance_ratio``).  t0 must be a finite
-    nonzero float, as for ``start_ratio``.
+    nonzero float, as for ``start_ratio``, and n at least 0.
     """
     start_ratio(1.0, t0)  # the start rule, for t_0 = t0 / 1
+    if n < 0:
+        raise ValueError(f"need n >= 0 steps, got {n!r}")
     values = [t0]
     _, stopped = advance_ratio(params, t0, n, values)
     if stopped:

@@ -31,8 +31,8 @@ from ratiodyn.classify import (
     _identify,
     _in_basin,
     _landing_index,
-    _mean_distance,
     _phi_padded,
+    _proximity_identify,
     _repels_everywhere,
     _slope_bound,
     _turns_negative,
@@ -545,44 +545,6 @@ def test_a_closed_orbit_is_replayed_not_walked(monkeypatch):
     assert steps[0] <= 1000
 
 
-def two_point_distance(vals, p, q):
-    return sum(map(min, [abs(t - p) for t in vals], [abs(t - q) for t in vals])) / len(vals)
-
-
-def test_mean_distance_to_a_cycle_equals_the_two_point_minimum():
-    p, q = 0.3, 1.7
-    mid = (p + q) / 2.0
-    below, above = math.nextafter(mid, -math.inf), math.nextafter(mid, math.inf)
-    tails = [
-        [0.1, 0.2, 0.29999999999999993],  # all below p
-        [1.7000000000000002, 5.0, 1e300],  # all above q
-        [0.3, 0.5, 0.9, below],  # between p and the midpoint
-        [0.31, below], [0.31, mid], [0.31, above],  # one ulp either side of it
-        [above, 1.2, 1.69], [mid, 1.69], [below, 1.69],
-        [0.5, 1.5], [0.1, 1.0, 2.5],  # across the midpoint
-        [0.4, math.inf], [math.inf, 0.4], [-math.inf, 0.4], [2.5, math.inf],
-        [math.inf, math.inf], [-math.inf],
-        [0.4, math.nan], [math.nan, 0.4], [math.nan, 2.5], [2.5, math.nan, 0.4],
-    ]
-    cases = [(p, q, vals) for vals in tails]
-    # tails of a random cycle that reach to within three ulps of its
-    # midpoint from below, from above, or cross it
-    rng = random.Random(3)
-    for _ in range(300):
-        p, q = sorted(rng.uniform(-3.0, 5.0) for _ in range(2))
-        mid = (p + q) / 2.0
-        ulps = [mid]
-        for _ in range(3):
-            ulps = [math.nextafter(ulps[0], -math.inf), *ulps, math.nextafter(ulps[-1], math.inf)]
-        lo, hi = rng.choice([(p - 1.0, mid), (mid, q + 1.0), (p - 1.0, q + 1.0)])
-        near = [u for u in ulps if lo < u < hi]
-        cases.append((p, q, [rng.uniform(lo, hi) for _ in range(8)] + near))
-    for p, q, vals in cases:
-        got = _mean_distance(vals, (p, q), (min(vals), max(vals)))
-        want = two_point_distance(vals, p, q)
-        assert got == want or (math.isnan(got) and math.isnan(want)), (p, q, vals)
-
-
 def test_identify_names_no_limit_at_an_unknown_equilibrium():
     limits = _Limits(NEUTRAL_EXAMPLE)
     ((neg, _),) = real_roots_flagged(fixed_point_poly(NEUTRAL_EXAMPLE), -math.inf, 0.0)
@@ -871,58 +833,48 @@ def test_the_certificate_declines_where_it_proves_nothing():
     assert _certify(eq(t.value), TINY_A) is None
 
 
-def test_the_shortcuts_of_a_walk_to_its_budget_answer_as_the_full_passes(monkeypatch):
-    """The proximity pass's skip gives, call by call, the answers of the
-    pass it skips, on the calls classify makes; a walk that closes on a
-    cycle that never settles stops at closure and never reaches the
-    proximity pass."""
+def test_a_closed_walk_stops_at_closure_before_the_proximity_pass(monkeypatch):
+    """A walk that closes on a cycle that never settles stops at closure
+    (_settles_nowhere) and never reaches the proximity pass."""
     module = sys.modules["ratiodyn.classify"]
-    proximity = module._proximity_identify
-    fired = {"_spans_rule_out": 0, "_settles_nowhere": 0}
-    proximities = [0]
+    settles, proximity = module._settles_nowhere, module._proximity_identify
+    stops, proximities = [0], [0]
 
-    def spying(name):
-        real = getattr(module, name)
+    def spying(*args):
+        out = settles(*args)
+        stops[0] += out
+        return out
 
-        def spy(*args):
-            out = real(*args)
-            fired[name] += out
-            return out
-        return spy
-
-    def both_proximities(*args):
+    def counting(*args):
         proximities[0] += 1
-        live = proximity(*args)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, "_spans_rule_out", lambda *a: False)
-            assert proximity(*args) == live, args
-        return live
+        return proximity(*args)
 
-    monkeypatch.setattr(module, "_proximity_identify", both_proximities)
-    for name in fired:
-        monkeypatch.setattr(module, name, spying(name))
-
-    for x0 in (0.85, 1.5, 2.2):
-        v = classify(NEUTRAL_EXAMPLE, 1.0, x0)
-        assert (v.asymptotic_class, v.rule) == (DIVERGES_TO_INFINITY, "T1.c3")
-    proximities[0] = 0
+    monkeypatch.setattr(module, "_settles_nowhere", spying)
+    monkeypatch.setattr(module, "_proximity_identify", counting)
     for params, x0 in CLOSED_WALKS:
         assert classify(params, 1.0, x0).rule == "oracle"
-    assert fired["_settles_nowhere"] == len(CLOSED_WALKS) and proximities[0] == 0
-    # a shorter budget keeps the neutral orbits quick; the skips read only
-    # walks that reach it
-    rng = random.Random(29)
-    inputs = surface_draws(rng, 40, 1) + surface_draws(rng, 40, -1) + [
-        (Parameters(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
-                    rng.uniform(-6.0, 3.0), rng.uniform(0.05, 3.0)), rng.uniform(0.2, 5.0))
-        for _ in range(300)
-    ]
-    for params, x0 in inputs:
-        try:
-            classify(params, 1.0, x0, budget=20000)
-        except PairingError:
-            pass
-    assert fired["_spans_rule_out"] > 0
+    assert stops[0] == len(CLOSED_WALKS) and proximities[0] == 0
+
+
+def test_the_proximity_pass_measures_only_a_limit_the_walk_can_near():
+    """On a walk that creeps towards a point polynomially, the proximity
+    pass names that point's equilibrium, or the 2-cycle it sits on, only
+    where its rooted |multiplier| lies within 1 + EPS_SEARCHED, as
+    candidate() counts it."""
+    creep = [1.0 / (k + 10) for k in range(4000)]
+    p, q = 0.5, 2.0
+    for mu, named in [
+        (1.0, True), (-1.0, True), (0.5, True), (1.0 + EPS_SEARCHED, True),
+        (1.0 + 2.0 * EPS_SEARCHED, False), (-1.0 - 2.0 * EPS_SEARCHED, False), (3.0, False),
+    ]:
+        eq = Equilibrium(1.0, mu, "neutral")
+        assert _proximity_identify([1.0 + e for e in creep], [eq], []) == (eq if named else None)
+        cyc = TwoCycle(p, q, p * q, mu, True)
+        walk = [(p if k % 2 == 0 else q) + e for k, e in enumerate(creep)]
+        assert _proximity_identify(walk, [], [cyc]) == (cyc if named else None)
+        limits = _Limits(NEUTRAL_EXAMPLE)
+        limits._repels, limits._eqs, limits._cycles = False, [eq], []
+        assert limits.candidate() is named
 
 
 def box_inputs(seed, count):
@@ -1116,7 +1068,7 @@ def test_the_probe_changes_no_verdict(monkeypatch):
     for group, inputs in groups.items():
         live += [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]
     # how many walks of each group stop at basin entry
-    assert named == {"box": 1947, "golden": 64, "surfaces": 14}
+    assert named == {"box": 1947, "golden": 67, "surfaces": 14}
     monkeypatch.setattr(module, "_in_basin", lambda *args: None)
     inputs = [inp for inputs in groups.values() for inp in inputs]
     plain = [verdict_or_error(params, x0, **kw) for params, x0, kw in inputs]

@@ -50,6 +50,12 @@ UNIT_CYCLE_STARTS = (1.0, 3.0)
 SWEEP_COUNT = 200
 SWEEP_X0 = 1.3
 SWEEP_TOL = 1e-9
+# draws on the sigma = -1 surface (a + b + c + d = 1, b + 2c + 3d = -1),
+# where the ratios near the parabolic equilibrium 1, or one just above it,
+# only polynomially: the proximity pass names t = 1 (T1.c2) and, once, an
+# equilibrium at 1.002-1.005 (T1.a)
+SURFACE_SEED = 0
+SURFACE_COUNT = 24
 
 
 def _cases():
@@ -65,6 +71,13 @@ def _cases():
     for i in range(SWEEP_COUNT):
         c = -3.0 + i * 2.0 / (SWEEP_COUNT - 1)
         yield "sweep", (0.1, 1.79, c, 1.0), SWEEP_X0, SWEEP_TOL
+    rng, drawn = random.Random(SURFACE_SEED), 0
+    while drawn < SURFACE_COUNT:
+        a, d, x0 = rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.2, 5.0)
+        b, c = 3.0 - 2.0 * a + d, a - 2.0 - 2.0 * d
+        if b > 0.0:
+            drawn += 1
+            yield "sigma_minus_one", (a, b, c, d), x0, 1e-8
 
 
 def _answer(params, x0, tol):
@@ -97,7 +110,7 @@ def _load():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("group", ["box", "neutral", "unit_cycle", "sweep"])
+@pytest.mark.parametrize("group", ["box", "neutral", "unit_cycle", "sweep", "sigma_minus_one"])
 def test_classify_matches_golden(group):
     entries = [e for e in _load() if e["group"] == group]
     assert entries
@@ -112,6 +125,8 @@ def test_golden_covers_every_case():
     assert [(e["group"], e["params"], e["x0"], e["tol"]) for e in _load()] == cases
     answered = [e["params"] for e in _load() if e["error"] is None]
     assert all(p in answered for p in FORMER_PAIRING_ERRORS)
+    surface = {e["verdict"]["rule"] for e in _load() if e["group"] == "sigma_minus_one"}
+    assert {"T1.c2", "T1.a"} <= surface
 
 
 if __name__ == "__main__":

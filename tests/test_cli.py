@@ -68,6 +68,16 @@ def test_simulate_csv_columns():
     assert float(rows[2][1]) == 3.0
 
 
+def test_simulate_with_negative_steps_exits_one(capsys):
+    argv = ["simulate", "--params", "0.1,1.79,-2,1", "--x-1", "1", "--x0", "3"]
+    code, out = run_cli(*argv, "--steps", "-3")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("ratiodyn: need n >= 0")
+    # no steps is still a walk: the header and the rows of x_{-1} and x_0
+    code, out = run_cli(*argv, "--steps", "0")
+    assert code == 0 and len(list(csv.reader(io.StringIO(out)))) == 3
+
+
 def test_classify_text_output():
     code, out = run_cli(
         "classify", "--params", "0.1,1.79,-2,1", "--x-1", "1", "--x0", "3",

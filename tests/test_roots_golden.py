@@ -5,7 +5,7 @@ equilibria (value, multiplier, stability) and the positive 2-cycles (p, q,
 product, multiplier, unit_product) that ``equilibria`` and
 ``find_two_cycles`` return, or the name of the exception one of them raised.
 The sets are those of the classify golden file: its 100 box sets, Examples A
-and B, and the 200 rows of the README sweep.  A change to the root search
+and B, the 200 rows of the README sweep and its 24 sigma = -1 draws.  A change to the root search
 must keep every count, flag and exception, and every value to 1e-13
 relative.  A multiplier may also move by 1e-13 absolute: next to a critical
 point of phi it is near 0, and a root that moves by a few ulps moves it by
@@ -88,7 +88,7 @@ def _same(got, want):
     return True
 
 
-@pytest.mark.parametrize("group", ["box", "neutral", "unit_cycle", "sweep"])
+@pytest.mark.parametrize("group", ["box", "neutral", "unit_cycle", "sweep", "sigma_minus_one"])
 def test_roots_match_golden(group):
     entries = [e for e in _load() if e["group"] == group]
     assert entries

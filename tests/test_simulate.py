@@ -63,6 +63,18 @@ def test_iterate_ratio_zero_guard():
     assert traj.values == [1e-110]
 
 
+def test_iterate_ratio_rejects_a_negative_step_count():
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="n >= 0"):
+            iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.3, n)
+        with pytest.raises(ValueError, match="n >= 0"):
+            iterate_solution(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, n)
+    # no steps is the start alone
+    traj = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.3, 0)
+    assert (traj.values, traj.status) == ([1.3], COMPLETED)
+    assert len(iterate_solution(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, 0).log_magnitudes) == 2
+
+
 def test_iterate_ratio_escaped_negative():
     # t = -1 is an attracting equilibrium here (phi'(-1) = 0.35)
     traj = iterate_ratio(Parameters(0.05, 2.5, 1.5, 0.05), -1.1, 200)
