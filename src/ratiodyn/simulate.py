@@ -12,7 +12,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, takewhile
-from operator import mul
+from operator import add, mul
 
 from .outcomes import (
     CONVERGES_TO_EQUILIBRIUM,
@@ -58,10 +58,14 @@ MIXED = "mixed"
 
 #: the oracle's steps between checks, at least a detector window
 ORACLE_CHUNK = max(TAIL_WINDOW, 256)
+#: the oracle's steps between looks for a closed float cycle
+_PROBE_STEPS = 4 * ORACLE_CHUNK
 _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step)
 #: absolute slack, in units of a window's largest |x|, of the log-space
 #: precheck in _stabilized (its proof is there)
 _SETTLE_SLACK = 1e-13
+#: slack, per decade of |lm| + 300, of _ratios_apart's test (its proof is there)
+_RATIO_SLACK = 2.0 ** -45
 #: _far_apart's factor on its bound of a passing test's mean, 1 + 2^-40
 _MEAN_PAD = 1.0 + 2.0 ** -40
 #: the least normal double, 2^-1022
@@ -176,7 +180,8 @@ def walk_on(params, walked, n, k=None):
     """The next n ratios of the walk whose latest ratios are ``walked``.
 
     ``k`` is the period of the float cycle they closed on, or None, and then
-    ``closed_period(walked)`` looks for one.  A closed walk repeats
+    ``closed_period(walked)`` looks for one, or 0 to walk on without
+    looking (a walk replays only as a shortcut).  A closed walk repeats
     ``walked[-k:]``, in its sequence type; any other goes on from
     ``walked[-1]`` with ``advance_ratio``, in a list.  Returns the ratios,
     k, and whether the walk stopped at a ratio whose cube is 0, short of n.
@@ -414,105 +419,110 @@ def _stabilized(logs, signs, tol):
     return None
 
 
-def _products(ratios, first):
-    """The products p_j = ratios[0] * ... * ratios[j] from j = first on, as
-    the plain left-to-right floats, and whether every ratio is positive;
-    None where a partial product leaves the normal floats."""
-    n = len(ratios)
-    least = min(ratios)
-    positive = least > 0.0  # and so is every partial product
-    if not positive:
-        least = min(map(abs, ratios))
-    # a product of n ratios of size >= least < 1 keeps a size of at least
-    # least^n (1 - 2^-53)^n, so none falls below 2^-1022
-    if min(1.0, least) ** n > 2.0 * _TINY:
-        ps = [*accumulate(ratios[first + 1 :], mul, initial=math.prod(ratios[: first + 1]))]
-    else:  # look at every partial product
-        ps = [*accumulate(ratios, mul)]
-        if not min(map(abs, ps)) >= _TINY:
-            return None
-        ps = ps[first:]
-    # an overflow stays inf to the last product
-    return (ps, positive) if abs(ps[-1]) < math.inf else None
-
-
-def _logs_of(ps, positive):
-    """log10 |p| for each of the products ``ps``."""
-    return [*map(math.log10, ps if positive else map(abs, ps))]
-
-
-def _partial_logs(ratios, first):
+def _partial_logs(ratios, first, every=True):
     """log10 |p_j| for the products p_j = ratios[0] * ... * ratios[j], from
-    j = first on, and whether the last p_j is negative.
+    j = first on, or for j = first and the last j only where not ``every``,
+    and whether the last p_j is negative.
 
     The p_j are the floats of a left-to-right product with exact exponents.
     Where every partial product stays a normal float they are the plain
-    products (_products).  Elsewhere each step keeps a mantissa m in
-    [0.5, 1) and an exponent e, and rescales m with math.frexp: a product of
-    normal floats rounds the same at any scale, so these are the plain
-    products wherever those stay normal.  A p_j is read as log10 |p_j| where
-    it is a normal float, else as log10 |m| + e log10 2.  Raises ValueError
-    where a ratio is 0 or not finite.
+    products; elsewhere _frexp_logs takes them by mantissa and exponent.  A
+    p_j is read as log10 |p_j| where it is a normal float, else as
+    log10 |m| + e log10 2 for p_j = m 2^e, m in [0.5, 1).  Raises
+    ValueError where a ratio is 0 or not finite.
     """
-    plain = _products(ratios, first)
-    if plain is not None:
-        return _logs_of(*plain), plain[0][-1] < 0.0
-    return _frexp_logs(ratios, first)
+    least = min(ratios)
+    if not least > 0.0:
+        least = min(map(abs, ratios))
+    # a product of n ratios of size >= least < 1 keeps a size of at least
+    # least^n (1 - 2^-53)^n, so none falls below 2^-1022; else look at
+    # every partial product
+    plain = min(1.0, least) ** len(ratios) > 2.0 * _TINY
+    if not plain and abs(math.prod(ratios)) < math.inf:
+        plain = min(map(abs, accumulate(ratios, mul))) >= _TINY
+    if plain:
+        ps = _running(ratios, first, every)
+        # an overflow stays inf to the last product
+        if abs(ps[-1]) < math.inf:
+            return [*map(math.log10, map(abs, ps))], ps[-1] < 0.0
+    return _frexp_logs(ratios, first, every)
 
 
-def _frexp_logs(ratios, first):
+def _running(xs, first, every, op=mul, total=math.prod):
+    """The running totals xs[0] op ... op xs[j], left to right, from
+    j = first on, or for j = first and the last j only where not ``every``
+    (the total of all, whose left-to-right roundings pass through the
+    first)."""
+    head = total(xs[: first + 1])
+    return [*accumulate(xs[first + 1 :], op, initial=head)] if every else [head, total(xs)]
+
+
+def _frexp_logs(ratios, first, every):
     """_partial_logs by mantissa and exponent, for ratios whose partial
-    products leave the normal floats."""
-    if not all(0.0 < abs(t) < math.inf for t in ratios):
+    products leave the normal floats: p_j = q_j 2^(g_j) for the product q_j
+    of the mantissas of ratios[0..j], left to right, and the sum g_j of
+    their exponents.  Each mantissa lies in [0.5, 1), so for at most 1021
+    ratios (a chunk holds ORACLE_CHUNK) every q_j is a normal float, and a
+    product of normal floats rounds the same at any scale: q_j 2^(g_j) is
+    the plain p_j wherever that stays normal."""
+    fs, gs = zip(*map(math.frexp, ratios))
+    # a 0, inf or nan mantissa makes the product 0, inf or nan
+    if not 0.0 < abs(math.prod(fs)) < math.inf:
         raise ValueError("a ratio is 0 or not finite")
-    logs, m, e = [], 1.0, 0
-    for j, t in enumerate(ratios):
-        f, g = math.frexp(t)
-        m, h = math.frexp(m * f)
-        e += g + h
-        if j >= first:
-            # m 2^e is a normal float for these e
-            normal = -1021 <= e <= 1024
-            logs.append(math.log10(abs(math.ldexp(m, e))) if normal else math.log10(abs(m)) + e * _LOG10_2)
-    return logs, m < 0.0
+    logs = []
+    for q, g in zip(_running(fs, first, every), _running(gs, first, every, add, sum)):
+        m, h = math.frexp(q)
+        e = g + h
+        # m 2^e is a normal float for these e
+        normal = -1021 <= e <= 1024
+        logs.append(math.log10(abs(math.ldexp(m, e))) if normal else math.log10(abs(m)) + e * _LOG10_2)
+    return logs, q < 0.0
 
 
-class _Read:
-    """What the checks read of a chunk's ratios alone: the log10 |p_j| of
-    its last TAIL_WINDOW partial products p_j (_partial_logs), or of all
-    where it holds fewer, whether its product is negative, and whether its
-    last two ratios differ in sign.  Where the products stay normal floats
-    it keeps them, and logs only those a check reads: most checks return
-    from the 12-decade test on the last log and the trend's before the
-    window is read.  The logs are the floats _partial_logs gives."""
+def _ratios_apart(lm, ratios, tol):
+    """Whether the last TAIL_WINDOW values of the window that ends with the
+    chunk ``ratios`` (of TAIL_WINDOW or more, starting at log10 |x| = lm)
+    lie too far apart to settle, read from its last three ratios alone:
+    True only where _stabilized without _apart returns None.
 
-    __slots__ = ("size", "negative", "flip", "_plain", "_logs", "_top")
+    Let u = 2^-53, 0 <= tol < 1/8, and x the last 64 values as _stabilized
+    converts them; each is finite with 10^-300 < |x| < 10^300, or it
+    returns None.  x[-1] and x[-3] sit in the odd half, x[-2] and x[-4] in
+    the even one.
 
-    def __init__(self, ratios):
-        first = max(0, len(ratios) - TAIL_WINDOW)
-        self.size = len(ratios) - first
-        self.flip = len(ratios) > 1 and (ratios[-1] < 0.0) != (ratios[-2] < 0.0)
-        self._plain = _products(ratios, first)
-        self._logs = self._top = None
-        if self._plain is None:
-            self._logs, self.negative = _frexp_logs(ratios, first)
-        else:
-            self.negative = self._plain[0][-1] < 0.0
+    - A passing test keeps one half's last two values close.  The
+      equilibrium test, and the odd half of the 2-cycle test where
+      |mo| >= |me|, pass only where r = x[-1] / x[-3] has
+      |1 - 1/r| <= B = (tol F + z) / (1 - tol F), with
+      F = (1 + u)(1 + 63 u) / (1 - u)^2 and z = 1e-23; the even half where
+      |me| > |mo| only where x[-2] / x[-4] does.  For the spread D of the
+      window or half is at least |x[-1] - x[-3]|, a pass gives
+      fl(D) <= fl(tol |m|), and the float mean m of at most 64 values errs
+      by at most 63 u / (1 - 63 u) of their sizes (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section 4.2),
+      each at most |x[-1]| + D.  So D (1 - tol F) <= tol F |x[-1]| + 3
+      2^-1075, and 3 2^-1075 < z |x[-1]|.  Then |r - 1| <= B / (1 - B)
+      <= 2 tol + 2 z.
+    - r is the exact product t t' of the last two ratios times 1 + rho, with
+      |rho| <= u (8350 + 24 |lm|).  The chunk's partial products have
+      p_c = p_(c-2) t t' (1 + d)(1 + d'), |d|, |d'| <= u, with exact
+      exponents; each of their logs errs by at most 5 u |log10 |p|| + 2 u,
+      the log L of a p in the window has |L| <= 300 + |lm| + 301 u, the
+      sum l = fl(lm + L) errs by at most 301 u, and pow by 4 u.  So
+      log10 |r / (t t')| is at most 3607 u + 10 u |lm| in size.
+    - So a pass gives |t t' - 1| <= (2 tol + 2 z + |rho|) / (1 - |rho|)
+      <= 2 tol + 2 z + 1.6 |rho|.  The float test below, with
+      s = 2^-45 (300 + |lm|), implies after its five roundings
+      |t t' - 1| > 2 tol + s (1 - 5 u) - 1.75 u, which exceeds that bound.
 
-    def log(self, i):
-        """The log of the i-th of the kept products, counted as a list index."""
-        if self._logs is not None:
-            return self._logs[i]
-        return math.log10(abs(self._plain[0][i]))
-
-    def far(self, lm, tol):
-        """_far on the window of the chunk that starts at log10 |x| = lm."""
-        if self._top is None:
-            if self._logs is None:
-                self._logs = _logs_of(*self._plain)
-            self._top = max(self._logs)
-        logs = self._logs
-        return _far(lm + self._top, lm + logs[-1], lm + logs[-3], self.flip, tol)
+    A NaN, 0 or infinite ratio never reaches here.  A tol of 1/8 or more is
+    left to the window.
+    """
+    if tol >= 0.125:
+        return False
+    bound = 2.0 * tol + _RATIO_SLACK * (300.0 + abs(lm))
+    t3, t2, t1 = ratios[-3:]
+    return abs(t2 * t1 - 1.0) > bound and abs(t3 * t2 - 1.0) > bound
 
 
 def _log_at(recent, j):
@@ -556,11 +566,19 @@ def empirical_class(
     ``budget``.  They read one magnitude: l_c = log10 |x_c / x_minus1| is
     log10 |t_0| plus the float sum, chunk by chunk, of log10 |P| for the
     product P of each chunk's ratios, and at a step j inside the chunk that
-    starts at d, l_j is l_d plus log10 |t_(d+1) ... t_j|.  The products are taken left to right
-    with exact exponents (``_partial_logs``).  The trend looks back from c
-    to step c - _trend_lag(c + 1); the tail checks read the last
-    2 TAIL_WINDOW steps, and skip a window whose last values cannot settle
-    (``_apart``).
+    starts at d, l_j is l_d plus log10 |t_(d+1) ... t_j|.  The products are
+    taken left to right with exact exponents (``_partial_logs``).
+
+    A chunk's read is its product P alone: one ``math.prod`` and one log10
+    where its partial products stay normal floats.  P gives l_c, the sign
+    of x_c and the 12-decade tests.  Only where l_c lies past 12 decades
+    does the trend look back, from c to step c - _trend_lag(c + 1), to the
+    product up to that step, which the chunk's read takes too where that
+    step lies in the chunk.  The tail check skips a window whose last
+    values cannot settle from the chunk's last three ratios
+    (``_ratios_apart``); only where those cannot tell does it read the
+    logs of the last 2 TAIL_WINDOW steps, and test their last values
+    (``_apart``) before the window's spread.
 
     ``values`` are ratios already walked from this start with these
     ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
@@ -571,9 +589,8 @@ def empirical_class(
 
     Every ratio past them comes from ``walk_on``, as in ``classify``.  Past
     a closed float cycle of period k, a chunk repeats the ratios of the
-    chunk k / gcd(k, ORACLE_CHUNK) chunks before it: what its checks read of
-    its ratios is taken once per phase and replayed, which gives the floats
-    a fresh read gives.
+    chunk k / gcd(k, ORACLE_CHUNK) chunks before it: its product is read
+    once per phase and replayed, which gives the floats a fresh read gives.
     """
     if budget < ORACLE_MIN_BUDGET:
         raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
@@ -585,30 +602,39 @@ def empirical_class(
         raise ValueError("values must start at x0 / x_minus1")
     walked = values  # the latest ratios known
     k = None  # the period of the float cycle they closed on, once they have
-    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> _Read
+    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> its read
     # the chunks a later check reads, as _window takes them: the trend looks
-    # back at most _trend_lag(budget + 1) steps.  Their reads are not kept:
-    # ~40 lists of logs held alive slowed all of classify by ~5%.
+    # back at most _trend_lag(budget + 1) steps
     recent = deque(maxlen=_trend_lag(budget + 1) // ORACLE_CHUNK + 3)
     lm, s, done = math.log10(abs(t0)), (1 if x0 > 0 else -1), 0
     for c in chain(range(ORACLE_CHUNK, budget, ORACLE_CHUNK), (budget,)):
         n = c - done
         # a slice, not a copy of the whole walk; the walk goes on past its end
         ratios = values[done + 1 : c + 1]
+        # the trend looks back to step c - lag, to the chunk's partial
+        # product of index back where that is one
+        lag = _trend_lag(c + 1)
+        back = n - 1 - lag
         key = None
         if len(ratios) < n:
-            more, k, stopped = walk_on(params, walked, n - len(ratios), k)
+            # the walk looks for a closed cycle where it starts, and at every
+            # _PROBE_STEPS-th step after
+            probe = walked is values or c % _PROBE_STEPS == 0
+            more, k, stopped = walk_on(params, walked, n - len(ratios), k if k or probe else 0)
             if k and not ratios:
                 # a chunk of the cycle, whose k floats are distinct: its first
                 # ratio tells its phase
                 key = (n, more[0])
-            ratios = walked = [*ratios, *more]
+            ratios = walked = [*ratios, *more] if ratios else more
             if stopped:  # at a finite ratio: an inf is followed by nan, which never stops
                 return ITERATION_STOPS
+        # a chunk's read takes that partial product too, unless it is read
+        # for every phase of a cycle
+        first = 0 if key else max(0, back)
         read = reads.get(key)
         if read is None:
             try:
-                read = _Read(ratios)
+                read = _partial_logs(ratios, first, every=False)
             except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
                 if 0.0 in ratios:
                     return ITERATION_STOPS
@@ -618,25 +644,20 @@ def empirical_class(
                 return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
             if key:
                 reads[key] = read
-        last = lm + read.log(-1)  # log10 |x_c / x_minus1|
+        (lb, lp), negative = read
+        last = lm + lp  # log10 |x_c / x_minus1|
         recent.append((done, lm, s, ratios))
         if last > THETA_UP or last < THETA_DOWN:
-            ahead = _trend_lag(c + 1)  # the trend looks back to step c - ahead
-            if ahead < read.size:  # a partial product the chunk's read holds
-                rise = last - (lm + read.log(-1 - ahead))
-            else:
-                rise = last - _log_at(recent, c - ahead)
+            rise = last - (lm + lb if first == back else _log_at(recent, c - lag))
             if last > THETA_UP and rise > 0.0:
                 return DIVERGES_TO_INFINITY
             if last < THETA_DOWN and rise < 0.0:
                 return CONVERGES_TO_ZERO
-        # where the chunk holds the window's last TAIL_WINDOW steps, _far is
-        # the _apart of its window
-        if n < TAIL_WINDOW or not read.far(lm, tol):
+        if n < TAIL_WINDOW or not _ratios_apart(lm, ratios, tol):
             verdict = _stabilized(*_window(recent), tol)
             if verdict is not None:
                 return verdict
-        lm, s, done = last, (-s if read.negative else s), c
+        lm, s, done = last, (-s if negative else s), c
     return UNDETERMINED
 
 

@@ -291,47 +291,97 @@ def test_solution_stops_at_a_zero_ratio():
 
 
 def recording_checks(monkeypatch):
-    """The arguments of every tail check the oracle reads at a chunk end
-    (simulate._far, once per chunk of TAIL_WINDOW ratios or more): the
-    log10 |x_n| at the window's top, at its end and two steps before, and
-    whether x_n and x_(n-2) differ in sign."""
+    """What the oracle reads at its chunk ends, in order: each
+    ``("logs", len(ratios), first, every, logs, negative)`` of
+    simulate._partial_logs (a chunk's product, with the partial product at
+    the step the trend looks back to where that lies in the chunk, the
+    product up to that step where it lies before, or a window's), each ``("apart", lm, last three ratios, decision)``
+    of the ratio pre-test (simulate._ratios_apart, once per chunk of
+    TAIL_WINDOW ratios or more), and each ``("far", top, last, third,
+    flip)`` of simulate._far, the window's own test, where it still runs."""
     module = sys.modules["ratiodyn.simulate"]
-    far, seen = module._far, []
+    partial, apart, far, seen = module._partial_logs, module._ratios_apart, module._far, []
+
+    def logs(ratios, first, every=True):
+        out = partial(ratios, first, every)
+        seen.append(("logs", len(ratios), first, every, *out))
+        return out
+
+    def pretest(lm, ratios, tol):
+        out = apart(lm, ratios, tol)
+        seen.append(("apart", lm, tuple(ratios[-3:]), out))
+        return out
 
     def recording(top, last, third, flip, tol):
-        seen.append((top, last, third, flip))
+        seen.append(("far", top, last, third, flip))
         return far(top, last, third, flip, tol)
 
+    monkeypatch.setattr(module, "_partial_logs", logs)
+    monkeypatch.setattr(module, "_ratios_apart", pretest)
     monkeypatch.setattr(module, "_far", recording)
     return seen
 
 
+# (params, x_minus1, x0, budget, tol): Example A, whose every window the
+# pre-test finds apart, and Example B, whose 2-cycle tail it leaves to the
+# window's own test, which settles it at step 512
+READ_ORBITS = [(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, 1e-8), (UNIT_CYCLE_EXAMPLE, 2.0, 2.6, 5000, 1e-9)]
+
+
 def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
     seen = recording_checks(monkeypatch)
+    for orbit in READ_ORBITS:
+        reads_as_walked(seen, *orbit)
+
+
+def reads_as_walked(seen, params, xm1, x0, budget, tol):
+    """Check what the oracle read of one orbit against its trajectory, and
+    that it reads the same floats from prefixes of the walk."""
 
     def checks(**kwargs):
         seen.clear()
-        return empirical_class(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, **kwargs), [*seen]
+        return empirical_class(params, xm1, x0, budget, tol, **kwargs), [*seen]
 
-    walk = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 6000).values
+    walk = iterate_ratio(params, x0 / xm1, budget + 1000).values
     alone = checks()
-    ends = [*range(256, 5000, 256), 5000]
-    assert alone[0] == UNDETERMINED and len(alone[1]) == len(ends)
     # the oracle's log10 |x_n / x_{-1}| come from chunk products, the
     # trajectory's log10 |x_n| from per-step sums, less log10 |x_{-1}| here;
     # |log10 |x_n|| stays under 3 here, so each errs by under
     # 5000 steps * 4 * 3 * 2^-53 < 1e-11, and the signs agree
-    traj = iterate_solution(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000)
+    traj = iterate_solution(params, xm1, x0, budget)
     assert max(map(abs, traj.log_magnitudes)) < 3.0
-    logs = [lm - math.log10(2.0) for lm in traj.log_magnitudes]  # x_n at index n + 1
+    logs = [lm - math.log10(xm1) for lm in traj.log_magnitudes]  # x_n at index n + 1
     signs = traj.signs
-    for c, (top, last, third, flip) in zip(ends, alone[1]):
-        assert abs(top - max(logs[c - 62 : c + 2])) < 1e-11, c
-        assert abs(last - logs[c + 1]) < 1e-11 and abs(third - logs[c - 1]) < 1e-11, c
-        assert flip == (signs[c + 1] != signs[c - 1]), c
+    tests = [r for r in alone[1] if r[0] == "apart"]
+    ends = [*range(256, budget, 256), budget][: len(tests)]
+    # each chunk is read from its product, and the partial product at the
+    # step the trend looks back to, or its first, at the start of its records
+    reads = [alone[1][alone[1].index(r) - 1] for r in tests]
+    lag = sys.modules["ratiodyn.simulate"]._trend_lag
+    for d, c, (_, lm, last3, _), (_, size, first, every, (lb, lp), negative) in zip(
+        [0, *ends], ends, tests, reads
+    ):
+        assert (size, first, every) == (c - d, max(0, c - lag(c + 1) - d - 1), False), c
+        assert abs(lm - logs[d + 1]) < 1e-11 and abs(lm + lp - logs[c + 1]) < 1e-11, c
+        assert abs(lm + lb - logs[d + first + 2]) < 1e-11, c
+        assert last3 == tuple(walk[c - 2 : c + 1]), c
+        assert negative == (signs[c + 1] != signs[d + 1]), c
+    fars = [r for r in alone[1] if r[0] == "far"]
+    if params is NEUTRAL_EXAMPLE:
+        assert alone[0] == UNDETERMINED and len(tests) == 20
+        assert all(r[3] for r in tests) and fars == []
+    else:
+        assert alone[0] == CONVERGES_TO_TWO_CYCLE and ends[-1] == 512
+        # the window's test runs at the chunk ends the pre-test leaves to it
+        far_ends = [c for c, r in zip(ends, tests) if not r[3]]
+        assert len(fars) == len(far_ends) > 0
+        for c, (_, top, last, third, flip) in zip(far_ends, fars):
+            assert abs(top - max(logs[c - 62 : c + 2])) < 1e-11, c
+            assert abs(last - logs[c + 1]) < 1e-11 and abs(third - logs[c - 1]) < 1e-11, c
+            assert flip == (signs[c + 1] != signs[c - 1]), c
     # prefixes that end inside a chunk, on its boundary, and past the
     # budget give the same floats at every check
-    for k in (1, 2, 200, 256, 257, 700, 5001, 6001):
+    for k in (1, 2, 200, 256, 257, 700, budget + 1, budget + 1001):
         assert checks(values=walk[:k]) == alone, k
         assert checks(values=array("d", walk[:k])) == alone, k
 
@@ -340,9 +390,8 @@ def test_empirical_reads_walked_ratios_as_it_would_walk_them(monkeypatch):
 def test_the_trend_looks_back_its_exact_lag(check):
     """|x_n| sits above 1e12 and shrinks by 1e-6 a step, but for one ratio
     of 10: the trend at a check rises only where that ratio comes after the
-    step it looks back to.  At 256 that step lies among the last
-    TAIL_WINDOW of its chunk, whose logs the chunk's read holds; at 768 it
-    lies before them."""
+    step it looks back to.  At 256 that step lies in the chunk just read,
+    at 768 in the one before it."""
     back = check - sys.modules["ratiodyn.simulate"]._trend_lag(check + 1)
     for step, want in [(back + 1, DIVERGES_TO_INFINITY), (back, UNDETERMINED)]:
         values = [1e13] + [1.0 - 1e-6] * 1000
@@ -559,10 +608,12 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
         return periods[-1]
 
     def answers(params, x0):
-        """The oracle's answers, and what it read at each chunk end, from
-        starts with t_0 = x0 and from prefixes of the walk that end before
-        it closes, inside an oracle chunk after that, and on a chunk
-        boundary."""
+        """The oracle's answers, and what its checks decided from at each
+        chunk end, from starts with t_0 = x0 and from prefixes of the walk
+        that end before it closes, inside an oracle chunk after that, and
+        on a chunk boundary.  A replayed chunk's product is read once per
+        phase, so the products' logs are compared through the log each
+        chunk starts from, which the pre-test records."""
         walk = iterate_ratio(params, x0, 3000).values
         starts = [(1.0, x0, None), (2.0, 2.0 * x0, None), (-1.0, -x0, None)]
         starts += [(1.0, x0, walk[:k]) for k in (20, 2500, 2561)]
@@ -571,7 +622,7 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
             for budget, tol in [(100000, 1e-8), (5000, 1e-15), (20000, 0.0)]:
                 seen.clear()
                 answer = empirical_class(params, xm1, y0, budget, tol, values=values)
-                out.append((answer, [*seen]))
+                out.append((answer, [r for r in seen if r[0] != "logs"]))
         return out
 
     # past closure each chunk phase is read once and replayed; the floats
@@ -579,6 +630,8 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
     monkeypatch.setattr(module, "closed_period", spy)
     replayed = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
     assert {k for k in periods if k} == {k for _, _, k in LONG_REPLAYS}
+    # the pre-test reads each chunk's start
+    assert any(records for runs in replayed for _, records in runs)
     monkeypatch.setattr(module, "closed_period", lambda ratios: None)
     assert [answers(params, x0) for params, x0, _ in LONG_REPLAYS] == replayed
 
@@ -695,10 +748,71 @@ def test_precheck_skips_only_tails_that_cannot_settle(window):
         assert settles_without_precheck(logs, signs, tol) is None
 
 
+@st.composite
+def near_settling_chunks(draw):
+    """(lm, ratios, tol) for a chunk of ORACLE_CHUNK ratios that starts at
+    log10 |x| = lm and whose last values near an equilibrium or a 2-cycle,
+    as near_settling_windows, from 1e-200 to 1e200 in size and up to 100
+    decades from |x| at the start, of mixed signs."""
+    module = sys.modules["ratiodyn.simulate"]
+    tol = draw(st.sampled_from([0.1, 1e-6, 1e-9, 1e-15, 0.0]))
+    # near 1, where the logs err least and values an ulp apart can convert
+    # to one float
+    even = draw(st.floats(-1.0, 1.0) | st.floats(-200.0, 200.0))
+    # the odd half sits up to 30 decades away, or on the even half
+    odd = min(200.0, max(-200.0, even + draw(st.just(0.0) | st.floats(-30.0, 30.0))))
+    # a spread within 20% of tol, a wider one the pre-test can skip, or
+    # one of a few ulps, which only tol = 0 can tell
+    spread = draw(
+        st.floats(0.8, 1.2).map(lambda f: tol * f)
+        | st.floats(1.2, 4.0).map(lambda f: tol * f)
+        | st.sampled_from([0.0, 2.0 ** -52, 2.0 ** -51, 2.0 ** -50])
+    )
+    # a half may also spread by tol times the other's size, where that is
+    # the larger: a 2-cycle test that scales by the other half can pass
+    widen = draw(st.booleans())
+    spreads = [
+        min(0.5, spread * 10.0 ** max(0.0, other - mine)) if widen else spread
+        for mine, other in ((even, odd), (odd, even))
+    ]
+    size = module.ORACLE_CHUNK
+    # the window's last TAIL_WINDOW values vary, the steps before sit still
+    offsets = [0.0] * (size - TAIL_WINDOW) + draw(
+        st.lists(st.floats(-0.5, 0.5), min_size=TAIL_WINDOW, max_size=TAIL_WINDOW)
+    )
+    # the extremes at the last two values of one half
+    last = draw(st.sampled_from([None, -1, -2]))
+    if last is not None:
+        offsets[last - 2], offsets[last] = draw(st.permutations([-0.5, 0.5]))
+    half_signs = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    flipped = draw(st.sets(st.integers(size - 6, size - 1), max_size=2))
+    xs = [
+        half_signs[i % 2] * (-1 if i in flipped else 1)
+        * 10.0 ** (odd if i % 2 else even) * (1.0 + spreads[i % 2] * off)
+        for i, off in enumerate(offsets)
+    ]
+    lm = even + draw(st.just(0.0) | st.floats(-100.0, 100.0))
+    # the first ratio takes |x| from 10^lm to 10^even: the chunk's values
+    # are xs times 10^even / xs[0]
+    ratios = [10.0 ** (even - lm)] + [x / w for x, w in zip(xs[1:], xs)]
+    return lm, ratios, tol
+
+
+@given(near_settling_chunks())
+@settings(max_examples=400, deadline=None)
+def test_the_ratio_pretest_skips_only_tails_that_cannot_settle(chunk):
+    lm, ratios, tol = chunk
+    module = sys.modules["ratiodyn.simulate"]
+    logs, signs = module._window([(0, lm, 1, ratios)])
+    if module._ratios_apart(lm, ratios, tol):
+        assert settles_without_precheck(logs, signs, tol) is None
+
+
 def test_a_chunk_read_logs_only_what_a_check_reads(monkeypatch):
-    """A chunk's read keeps its partial products and logs them on use: the
-    logs it gives are _partial_logs' floats, and a check that returns on
-    the 12-decade test logs no window."""
+    """A chunk's read takes the logs of two of its partial products, the
+    same floats _partial_logs gives for every step from the first of them,
+    and the product up to a step is the partial product there.  A check
+    that returns on the 12-decade test reads no window."""
     module = sys.modules["ratiodyn.simulate"]
     rng = random.Random(43)
     chunks = [
@@ -708,18 +822,25 @@ def test_a_chunk_read_logs_only_what_a_check_reads(monkeypatch):
         [1e-35, 2e104] * 128,  # the frexp path
     ]
     for chunk in chunks:
-        first = max(0, len(chunk) - TAIL_WINDOW)
-        logs, negative = module._partial_logs(chunk, first)
-        read = module._Read(chunk)
-        assert [read.log(i) for i in range(-len(logs), 0)] == logs
-        assert (read.size, read.negative) == (len(logs), negative)
-    logged = []
-    real = module._logs_of
-    monkeypatch.setattr(module, "_logs_of", lambda *args: logged.append(1) or real(*args))
-    # |x_n| passes 12 decades within the first chunk: no window is logged
+        logs, negative = module._partial_logs(chunk, 0)
+        for first in {len(chunk) - 1, max(0, len(chunk) - TAIL_WINDOW), len(chunk) // 2}:
+            assert module._partial_logs(chunk, first) == (logs[first:], negative)
+            two = module._partial_logs(chunk, first, every=False)
+            assert two == ([logs[first], logs[-1]], negative)
+        for j in (0, 1, len(chunk) // 3, len(chunk) - 2):
+            assert module._partial_logs(chunk[: j + 1], j)[0] == [logs[j]]
+    seen = recording_checks(monkeypatch)
+    windows = []
+    real = module._window
+    monkeypatch.setattr(module, "_window", lambda recent: windows.append(1) or real(recent))
+    # |x_n| passes 12 decades within the first chunk: its one read takes
+    # two logs, at its end and at the step the trend looks back to, and no
+    # window is read
     ones = Parameters(1.0, 1.0, 1.0, 1.0)
     assert empirical_class(ones, 1.0, 1.5) == DIVERGES_TO_INFINITY
-    assert logged == []
+    back = 255 - module._trend_lag(257)
+    assert [(r[:4], len(r[4])) for r in seen] == [(("logs", 256, back, False), 2)]
+    assert windows == []
     # a bounded orbit reads its windows
     assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, 2000, 1e-9) == CONVERGES_TO_TWO_CYCLE
-    assert logged
+    assert windows
