@@ -8,6 +8,7 @@ is readable); direct-space values are reconstructed only on demand.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -71,6 +72,13 @@ _MEAN_PAD = 1.0 + 2.0 ** -40
 #: the least normal double, 2^-1022
 _TINY = sys.float_info.min
 _LOG10_2 = math.log10(2.0)
+#: _chunk_read's test: log10 (4 2^-1022), and 1 / (2 e ln 10), which turns
+#: H^2 / (2 e) into decades
+_LOG10_4TINY = math.log10(4.0 * _TINY)
+_AMGM_DECADES = 0.5 / (math.e * math.log(10.0))
+#: a chunk whose last two ratios reach this size is read by _partial_logs
+#: without _chunk_read's test, which such chunks almost always fail
+_WIDE = 16.0
 
 
 @dataclass(frozen=True)
@@ -261,6 +269,17 @@ def iterate_solution(
     )
 
 
+def _check_budget(budget, least):
+    """Raise TypeError unless ``budget`` is an integer, and ValueError
+    unless it is at least ``least``."""
+    try:
+        operator.index(budget)
+    except TypeError:
+        raise TypeError(f"budget must be an integer, got {budget!r}") from None
+    if budget < least:
+        raise ValueError(f"need budget >= {least}")
+
+
 def _check_tail_tol(tol):
     """Raise ValueError unless ``tol`` is a tail tolerance that can work:
     finite and nonnegative.  An infinite one settles every finite tail, and
@@ -430,6 +449,11 @@ def _partial_logs(ratios, first, every=True):
     p_j is read as log10 |p_j| where it is a normal float, else as
     log10 |m| + e log10 2 for p_j = m 2^e, m in [0.5, 1).  Raises
     ValueError where a ratio is 0 or not finite.
+
+    Its guard costs O(n): a min over the ratios, and where that cannot
+    tell, every partial product.  The oracle reads a chunk through
+    _chunk_read, whose O(1) test proves most chunks normal first, and
+    comes here for the rest.
     """
     least = min(ratios)
     if not least > 0.0:
@@ -446,6 +470,55 @@ def _partial_logs(ratios, first, every=True):
         if abs(ps[-1]) < math.inf:
             return [*map(math.log10, map(abs, ps))], ps[-1] < 0.0
     return _frexp_logs(ratios, first, every)
+
+
+def _chunk_read(ratios, first):
+    """_partial_logs(ratios, first, every=False): log10 |p_j| at j = first
+    and at the last j, and whether the last p_j is negative, with one O(1)
+    test in place of its guard where that test proves every partial
+    product normal.
+
+    Let P = math.prod(ratios), H = math.hypot(*ratios), T = 2^-1022 and
+    u = 2^-53.  Where P is finite and nonzero, no ratio is 0, infinite or
+    NaN, and no partial product overflowed, as an inf stays inf through
+    nonzero factors.  The test is ln |P| - ln (4 T) > H^2 / (2 e), taken in
+    decades: log10 |P| - log10 (4 T) > H^2 / (2 e ln 10).  Where it holds,
+    every partial product is a normal float:
+
+    - Suppose p_k is the first with |p_k| < T.  A float product with
+      gradual underflow is at most |p t| (1 + u) + 2^-1075 in size (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+      section 2.1), and 2^-1075 = u T.  So by induction over the n ratios
+      after it, |p_j| <= T (1 + u)^i (1 + i u) M_j after i of them, with M_j
+      the product of max(1, |t|) over them, and |P| < 2 T M for n < 2^50.
+    - Over the m of those ratios with |t| > 1, AM-GM gives
+      prod |t| <= (S / m)^(m/2) for the sum S <= H^2 of their squares, and
+      (m / 2) ln (S / m) is largest, S / (2 e), at m = S / e.  So
+      M <= e^(H^2 / (2 e)), and ln |P| < ln (2 T) + H^2 / (2 e).
+    - The float test pads that by ln 2, 0.30 decades.  Its left side, at
+      most 616 in size, errs by under 1e-12 (log10 and the constant to
+      within an ulp, and one subtraction).  Its right side is at least
+      (1 - 12 u) times the exact one, or both are under 1e-300 (hypot to
+      within an ulp, from Python 3.10 on, the constant to within 5 u, two
+      products), so where it passes, below 616, it errs by under 1e-12
+      too.  A passing test thus gives ln |P| > ln (2 T) + H^2 / (2 e),
+      which no such p_k allows.
+
+    There the read is the plain one: log10 |P|, P < 0, and the partial
+    product at ``first``, which is ratios[0] or the product up to it.
+    Elsewhere, and where the last two ratios reach _WIDE, _partial_logs
+    reads the chunk.  H * H, not H ** 2, which raises OverflowError.
+    """
+    # ratios[-2 % n] is ratios[-2], or the one ratio of a chunk of one
+    if abs(ratios[-1]) < _WIDE > abs(ratios[-2 % len(ratios)]):
+        p = math.prod(ratios)
+        if 0.0 < abs(p) < math.inf:
+            h = math.hypot(*ratios)
+            lp = math.log10(abs(p))
+            if lp - _LOG10_4TINY > h * h * _AMGM_DECADES:
+                head = ratios[0] if first == 0 else math.prod(ratios[: first + 1])
+                return [math.log10(abs(head)), lp], p < 0.0
+    return _partial_logs(ratios, first, every=False)
 
 
 def _running(xs, first, every, op=mul, total=math.prod):
@@ -569,16 +642,18 @@ def empirical_class(
     starts at d, l_j is l_d plus log10 |t_(d+1) ... t_j|.  The products are
     taken left to right with exact exponents (``_partial_logs``).
 
-    A chunk's read is its product P alone: one ``math.prod`` and one log10
-    where its partial products stay normal floats.  P gives l_c, the sign
-    of x_c and the 12-decade tests.  Only where l_c lies past 12 decades
-    does the trend look back, from c to step c - _trend_lag(c + 1), to the
-    product up to that step, which the chunk's read takes too where that
-    step lies in the chunk.  The tail check skips a window whose last
-    values cannot settle from the chunk's last three ratios
-    (``_ratios_apart``); only where those cannot tell does it read the
-    logs of the last 2 TAIL_WINDOW steps, and test their last values
-    (``_apart``) before the window's spread.
+    A chunk's read is its product P alone (``_chunk_read``): one
+    ``math.prod``, one ``math.hypot`` and one log10 where a test on those
+    two proves that its partial products stay normal floats, which holds
+    on chunks of ratios near 1; else ``_partial_logs`` reads it, with its
+    O(n) guard.  P gives l_c, the sign of x_c and the 12-decade tests.
+    Only where l_c lies past 12 decades does the trend look back, from c
+    to step c - _trend_lag(c + 1), to the product up to that step, which
+    the chunk's read takes too where that step lies in the chunk.  The
+    tail check skips a window whose last values cannot settle from the
+    chunk's last three ratios (``_ratios_apart``); only where those cannot
+    tell does it read the logs of the last 2 TAIL_WINDOW steps, and test
+    their last values (``_apart``) before the window's spread.
 
     ``values`` are ratios already walked from this start with these
     ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
@@ -592,8 +667,7 @@ def empirical_class(
     chunk k / gcd(k, ORACLE_CHUNK) chunks before it: its product is read
     once per phase and replayed, which gives the floats a fresh read gives.
     """
-    if budget < ORACLE_MIN_BUDGET:
-        raise ValueError(f"need budget >= {ORACLE_MIN_BUDGET}")
+    _check_budget(budget, ORACLE_MIN_BUDGET)
     _check_tail_tol(tol)
     t0 = start_ratio(x_minus1, x0)
     if values is None:
@@ -634,7 +708,7 @@ def empirical_class(
         read = reads.get(key)
         if read is None:
             try:
-                read = _partial_logs(ratios, first, every=False)
+                read = _chunk_read(ratios, first)
             except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
                 if 0.0 in ratios:
                     return ITERATION_STOPS

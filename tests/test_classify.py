@@ -275,6 +275,10 @@ def test_classify_validates_inputs():
         classify(UNIT_CYCLE_EXAMPLE, -1.0, 1.0)
     with pytest.raises(ValueError):
         classify(UNIT_CYCLE_EXAMPLE, 1.0, 1.0, budget=0)
+    # a float budget once failed in the oracle's range(), after the walk
+    for budget in (1e5, 2000.0, "2000"):
+        with pytest.raises(TypeError, match="budget"):
+            classify(NEUTRAL_EXAMPLE, 1.0, 1.5, budget)
     # not finite, or a t_0 = x0 / x_minus1 that overflows or underflows
     for x_minus1, x0 in [
         (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (1e-300, 1e300), (1e300, 1e-300),

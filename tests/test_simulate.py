@@ -2,6 +2,8 @@ import math
 import random
 import sys
 from array import array
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -292,19 +294,19 @@ def test_solution_stops_at_a_zero_ratio():
 
 def recording_checks(monkeypatch):
     """What the oracle reads at its chunk ends, in order: each
-    ``("logs", len(ratios), first, every, logs, negative)`` of
-    simulate._partial_logs (a chunk's product, with the partial product at
-    the step the trend looks back to where that lies in the chunk, the
-    product up to that step where it lies before, or a window's), each ``("apart", lm, last three ratios, decision)``
-    of the ratio pre-test (simulate._ratios_apart, once per chunk of
-    TAIL_WINDOW ratios or more), and each ``("far", top, last, third,
-    flip)`` of simulate._far, the window's own test, where it still runs."""
+    ``("read", len(ratios), first, logs, negative)`` of
+    simulate._chunk_read (a chunk's product, with the partial product at
+    the step the trend looks back to where that lies in the chunk, or its
+    first), each ``("apart", lm, last three ratios, decision)`` of the
+    ratio pre-test (simulate._ratios_apart, once per chunk of TAIL_WINDOW
+    ratios or more), and each ``("far", top, last, third, flip)`` of
+    simulate._far, the window's own test, where it still runs."""
     module = sys.modules["ratiodyn.simulate"]
-    partial, apart, far, seen = module._partial_logs, module._ratios_apart, module._far, []
+    read, apart, far, seen = module._chunk_read, module._ratios_apart, module._far, []
 
-    def logs(ratios, first, every=True):
-        out = partial(ratios, first, every)
-        seen.append(("logs", len(ratios), first, every, *out))
+    def reading(ratios, first):
+        out = read(ratios, first)
+        seen.append(("read", len(ratios), first, *out))
         return out
 
     def pretest(lm, ratios, tol):
@@ -316,7 +318,7 @@ def recording_checks(monkeypatch):
         seen.append(("far", top, last, third, flip))
         return far(top, last, third, flip, tol)
 
-    monkeypatch.setattr(module, "_partial_logs", logs)
+    monkeypatch.setattr(module, "_chunk_read", reading)
     monkeypatch.setattr(module, "_ratios_apart", pretest)
     monkeypatch.setattr(module, "_far", recording)
     return seen
@@ -358,10 +360,10 @@ def reads_as_walked(seen, params, xm1, x0, budget, tol):
     # step the trend looks back to, or its first, at the start of its records
     reads = [alone[1][alone[1].index(r) - 1] for r in tests]
     lag = sys.modules["ratiodyn.simulate"]._trend_lag
-    for d, c, (_, lm, last3, _), (_, size, first, every, (lb, lp), negative) in zip(
+    for d, c, (_, lm, last3, _), (_, size, first, (lb, lp), negative) in zip(
         [0, *ends], ends, tests, reads
     ):
-        assert (size, first, every) == (c - d, max(0, c - lag(c + 1) - d - 1), False), c
+        assert (size, first) == (c - d, max(0, c - lag(c + 1) - d - 1)), c
         assert abs(lm - logs[d + 1]) < 1e-11 and abs(lm + lp - logs[c + 1]) < 1e-11, c
         assert abs(lm + lb - logs[d + first + 2]) < 1e-11, c
         assert last3 == tuple(walk[c - 2 : c + 1]), c
@@ -397,6 +399,14 @@ def test_the_trend_looks_back_its_exact_lag(check):
         values = [1e13] + [1.0 - 1e-6] * 1000
         values[step] = 10.0
         assert empirical_class(None, 1.0, 1e13, 1000, values=values) == want, step
+
+
+def test_a_budget_that_is_not_an_integer_is_rejected():
+    for budget in (1e5, 2000.0, "2000"):
+        with pytest.raises(TypeError, match="budget"):
+            empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.5, budget)
+    with pytest.raises(ValueError, match="budget"):
+        empirical_class(NEUTRAL_EXAMPLE, 1.0, 1.5, 999)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
@@ -622,7 +632,7 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
             for budget, tol in [(100000, 1e-8), (5000, 1e-15), (20000, 0.0)]:
                 seen.clear()
                 answer = empirical_class(params, xm1, y0, budget, tol, values=values)
-                out.append((answer, [r for r in seen if r[0] != "logs"]))
+                out.append((answer, [r for r in seen if r[0] != "read"]))
         return out
 
     # past closure each chunk phase is read once and replayed; the floats
@@ -664,6 +674,9 @@ def test_a_product_that_leaves_the_normal_floats_keeps_its_exponent(monkeypatch)
     assert sys.float_info.min < math.prod(dip[1:257]) < 1.0 and 0.0 < 1e-160 * 1e-160 < sys.float_info.min
     for values in (over, dip):
         chunk = values[1:257]
+        # the O(1) test declines both: the product overflows, and the dip
+        # chunk's H * H is inf (H ** 2 would raise OverflowError)
+        assert fast_read(chunk, 0) is None
         logs, negative = module._partial_logs(chunk, 0)
         assert rescaled  # the frexp path
         # within the roundings of 256 products and of the per-step logs
@@ -675,6 +688,63 @@ def test_a_product_that_leaves_the_normal_floats_keeps_its_exponent(monkeypatch)
         rescaled.clear()
     assert empirical_class(TINY_A_CYCLE, 1.0, 0.5, 1000, values=over) == DIVERGES_TO_INFINITY
     assert empirical_class(None, 1.0, 1.0, 1000, values=dip) == UNDETERMINED
+
+
+def fast_read(ratios, first):
+    """simulate._chunk_read's read where its O(1) test proves every partial
+    product normal, else None: where it falls back to _partial_logs."""
+    module = sys.modules["ratiodyn.simulate"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_partial_logs", lambda ratios, first, every=True: None)
+        return module._chunk_read(ratios, first)
+
+
+def test_a_chunk_near_one_is_read_by_the_o1_test():
+    module = sys.modules["ratiodyn.simulate"]
+    walk = iterate_ratio(NEUTRAL_EXAMPLE, 1.5, 1000).values
+    for d in (0, 256, 512):
+        chunk = walk[d + 1 : d + 257]
+        for first in (0, 100, 255):
+            read = fast_read(chunk, first)
+            assert read is not None, (d, first)
+            assert read == module._partial_logs(chunk, first, every=False)
+
+
+@st.composite
+def product_chunks(draw):
+    """(ratios, first) for a chunk of 1 to 256 finite nonzero ratios of
+    random signs: sizes log-uniform over a drawn range within [1e-300,
+    1e300], narrow enough near 1 for the O(1) test to pass, or a run whose
+    product dips below 2^-1022 and comes back."""
+    n = draw(st.integers(1, 256))
+    if draw(st.booleans()):
+        centre = draw(st.floats(-300.0, 300.0) | st.floats(-1.0, 1.0))
+        width = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 2.0, 20.0, 600.0]))
+        lo, hi = max(-300.0, centre - width / 2), min(300.0, centre + width / 2)
+        exps = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    else:
+        # down past 2^-1022 (10^-307.65) over k ratios, and back up over m
+        # by as little as a few decades, the closest a dip comes to passing
+        # the test, or by as much; ratios near 1 go before, between or after
+        down, up = draw(st.floats(307.7, 330.0)), draw(st.floats(0.0, 340.0))
+        k, m = draw(st.integers(2, 120)), draw(st.integers(math.ceil(up / 300.0) or 1, 120))
+        exps = [-down / k] * k + [up / m] * m
+        exps[draw(st.integers(0, len(exps))) : 0] = draw(
+            st.lists(st.floats(-0.5, 0.5), max_size=256 - len(exps))
+        )
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(exps), max_size=len(exps)))
+    ratios = [s * 10.0 ** e for s, e in zip(signs, exps)]
+    return ratios, draw(st.integers(0, len(ratios) - 1))
+
+
+@given(product_chunks())
+@settings(max_examples=400, deadline=None)
+def test_the_o1_read_passes_only_chunks_whose_partial_products_stay_normal(chunk):
+    ratios, first = chunk
+    read = fast_read(ratios, first)
+    if read is not None:
+        assert all(sys.float_info.min <= abs(p) < math.inf for p in accumulate(ratios, mul))
+        assert read == sys.modules["ratiodyn.simulate"]._partial_logs(ratios, first, every=False)
 
 
 def window_from(xs):
@@ -839,7 +909,7 @@ def test_a_chunk_read_logs_only_what_a_check_reads(monkeypatch):
     ones = Parameters(1.0, 1.0, 1.0, 1.0)
     assert empirical_class(ones, 1.0, 1.5) == DIVERGES_TO_INFINITY
     back = 255 - module._trend_lag(257)
-    assert [(r[:4], len(r[4])) for r in seen] == [(("logs", 256, back, False), 2)]
+    assert [(r[:3], len(r[3])) for r in seen] == [(("read", 256, back), 2)]
     assert windows == []
     # a bounded orbit reads its windows
     assert empirical_class(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, 2000, 1e-9) == CONVERGES_TO_TWO_CYCLE
