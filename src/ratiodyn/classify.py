@@ -40,7 +40,7 @@ from .simulate import (
     INCREASING,
     RatioTrajectory,
     COMPLETED,
-    _check_budget,
+    _check_count,
     _check_tail_tol,
     detect_ratio_limit,
     empirical_class,
@@ -1054,7 +1054,7 @@ def _check_walk(x_minus1, x0, budget, tol):
     t = start_ratio(x_minus1, x0)
     if not (x_minus1 > 0.0 and x0 > 0.0):
         raise ValueError("initial conditions must be positive")
-    _check_budget(budget, 1)
+    _check_count("budget", budget, 1)
     _check_tail_tol(tol)
     return t
 

@@ -62,9 +62,6 @@ ORACLE_CHUNK = max(TAIL_WINDOW, 256)
 #: the oracle's steps between looks for a closed float cycle
 _PROBE_STEPS = 4 * ORACLE_CHUNK
 _LOG10_TIE = 5e-15  # |delta log10| below this is a tie (1e-14 relative per step)
-#: absolute slack, in units of a window's largest |x|, of the log-space
-#: precheck in _stabilized (its proof is there)
-_SETTLE_SLACK = 1e-13
 #: slack, per decade of |lm| + 300, of _ratios_apart's test (its proof is there)
 _RATIO_SLACK = 2.0 ** -45
 #: _far_apart's factor on its bound of a passing test's mean, 1 + 2^-40
@@ -213,16 +210,26 @@ def _signs(s, ratios):
     return [s, *[(s := s if t > 0 else -s) for t in ratios]]
 
 
+def _check_count(name, value, least):
+    """Raise TypeError unless ``value``, the argument called ``name``, is
+    an integer, and ValueError unless it is at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value!r}")
+
+
 def iterate_ratio(params: Parameters, t0: float, n: int) -> RatioTrajectory:
     """Iterate the ratio map up to n steps from t0.
 
     Stops with status ``hit_zero`` at a ratio whose cube is 0, where the
     next step would divide by zero (``advance_ratio``).  t0 must be a finite
-    nonzero float, as for ``start_ratio``, and n at least 0.
+    nonzero float, as for ``start_ratio``, and n an integer, at least 0.
     """
     start_ratio(1.0, t0)  # the start rule, for t_0 = t0 / 1
-    if n < 0:
-        raise ValueError(f"need n >= 0 steps, got {n!r}")
+    _check_count("n", n, 0)
     values = [t0]
     _, stopped = advance_ratio(params, t0, n, values)
     if stopped:
@@ -267,17 +274,6 @@ def iterate_solution(
     return solution_trajectory(
         x_minus1, x0, iterate_ratio(params, start_ratio(x_minus1, x0), n)
     )
-
-
-def _check_budget(budget, least):
-    """Raise TypeError unless ``budget`` is an integer, and ValueError
-    unless it is at least ``least``."""
-    try:
-        operator.index(budget)
-    except TypeError:
-        raise TypeError(f"budget must be an integer, got {budget!r}") from None
-    if budget < least:
-        raise ValueError(f"need budget >= {least}")
 
 
 def _check_tail_tol(tol):
@@ -383,43 +379,7 @@ def _trend_lag(length):
     return min(max(10, int(length * 0.1)), length - 1)
 
 
-def _apart(logs, signs, tol):
-    """Whether x[-1] and x[-3] lie too far apart for the last TAIL_WINDOW
-    values to settle, read from logs and signs without converting the
-    window: True only where the rest of _stabilized returns None.
-
-    Let x be the window as _stabilized converts it, M its largest |x|,
-    u = 2^-53 and tol >= 0 (a negative tol passes neither test below).
-
-    x[-1] and x[-3] both sit in the odd half.  So the equilibrium test, and
-    the odd half of the 2-cycle test, pass only if |x[-1] - x[-3]| is at
-    most a float spread, which is at least (1 - u) times the exact one and
-    at most tol times a float mean of 64 or 32 values of size <= M, which is
-    at most M (1 + 64 u).  Both give |x[-1] - x[-3]| <= tol M (1 + 67 u).
-
-    g below is |x[-1] - x[-3]| / 10^L, L = max(logs[-64:]), to within 20 u
-    absolute: each x is s 10^l to the few-ulp accuracy of pow, and so
-    M <= 10^L (1 + 4 u); the float l - L <= 0 is off by at most u |l - L|,
-    which moves 10^(l - L) by at most max_D (D 10^-D) ln 10 u < 0.4 u; and
-    g's own subtraction adds u g <= 2 u.  So a test that passes gives
-    g <= tol (1 + 72 u) + 20 u < 2 tol + _SETTLE_SLACK, even after that sum
-    is rounded.  Every l is finite here, and 10^(l - L) <= 1 cannot
-    overflow.
-    """
-    return _far(max(logs[-TAIL_WINDOW:]), logs[-1], logs[-3], signs[-1] != signs[-3], tol)
-
-
-def _far(top, last, third, flip, tol):
-    """_apart's test from the window's largest log ``top``, logs[-1],
-    logs[-3] and whether signs[-1] and signs[-3] differ: g is the float
-    |s 10^(last - top) - s' 10^(third - top)|, as negation is exact."""
-    a, b = 10.0 ** (last - top), 10.0 ** (third - top)
-    return (a + b if flip else abs(a - b)) > 2.0 * tol + _SETTLE_SLACK
-
-
 def _stabilized(logs, signs, tol):
-    if _apart(logs, signs, tol):
-        return None
     if max(map(abs, logs[-2 * TAIL_WINDOW:])) >= 300.0:
         return None
     tail = [s * 10.0 ** lm for s, lm in zip(signs[-TAIL_WINDOW:], logs[-TAIL_WINDOW:])]
@@ -461,14 +421,16 @@ def _partial_logs(ratios, first, every=True):
     # a product of n ratios of size >= least < 1 keeps a size of at least
     # least^n (1 - 2^-53)^n, so none falls below 2^-1022; else look at
     # every partial product
-    plain = min(1.0, least) ** len(ratios) > 2.0 * _TINY
-    if not plain and abs(math.prod(ratios)) < math.inf:
-        plain = min(map(abs, accumulate(ratios, mul))) >= _TINY
-    if plain:
+    if min(1.0, least) ** len(ratios) > 2.0 * _TINY:
         ps = _running(ratios, first, every)
-        # an overflow stays inf to the last product
-        if abs(ps[-1]) < math.inf:
-            return [*map(math.log10, map(abs, ps))], ps[-1] < 0.0
+    else:
+        ps = [*accumulate(ratios, mul)]
+        if not min(map(abs, ps)) >= _TINY:
+            return _frexp_logs(ratios, first, every)
+        ps = ps[first:] if every else [ps[first], ps[-1]]
+    # an overflow stays inf to the last product
+    if abs(ps[-1]) < math.inf:
+        return [*map(math.log10, map(abs, ps))], ps[-1] < 0.0
     return _frexp_logs(ratios, first, every)
 
 
@@ -556,7 +518,7 @@ def _ratios_apart(lm, ratios, tol):
     """Whether the last TAIL_WINDOW values of the window that ends with the
     chunk ``ratios`` (of TAIL_WINDOW or more, starting at log10 |x| = lm)
     lie too far apart to settle, read from its last three ratios alone:
-    True only where _stabilized without _apart returns None.
+    True only where _stabilized returns None.
 
     Let u = 2^-53, 0 <= tol < 1/8, and x the last 64 values as _stabilized
     converts them; each is finite with 10^-300 < |x| < 10^300, or it
@@ -652,8 +614,8 @@ def empirical_class(
     the chunk's read takes too where that step lies in the chunk.  The
     tail check skips a window whose last values cannot settle from the
     chunk's last three ratios (``_ratios_apart``); only where those cannot
-    tell does it read the logs of the last 2 TAIL_WINDOW steps, and test
-    their last values (``_apart``) before the window's spread.
+    tell does it read the logs of the last 2 TAIL_WINDOW steps and test
+    the window's spread.
 
     ``values`` are ratios already walked from this start with these
     ``params``, ``t_0 = x0 / x_minus1`` first, as a list or an
@@ -662,12 +624,10 @@ def empirical_class(
     the start gives.  Without them it knows only ``t_0``.  ``tol`` is the
     tail tolerance, finite and nonnegative.
 
-    Every ratio past them comes from ``walk_on``, as in ``classify``.  Past
-    a closed float cycle of period k, a chunk repeats the ratios of the
-    chunk k / gcd(k, ORACLE_CHUNK) chunks before it: its product is read
-    once per phase and replayed, which gives the floats a fresh read gives.
+    Every ratio past them comes from ``walk_on``, as in ``classify``, which
+    replays a closed float cycle with the floats a walk gives.
     """
-    _check_budget(budget, ORACLE_MIN_BUDGET)
+    _check_count("budget", budget, ORACLE_MIN_BUDGET)
     _check_tail_tol(tol)
     t0 = start_ratio(x_minus1, x0)
     if values is None:
@@ -676,7 +636,6 @@ def empirical_class(
         raise ValueError("values must start at x0 / x_minus1")
     walked = values  # the latest ratios known
     k = None  # the period of the float cycle they closed on, once they have
-    reads = {}  # (length, first ratio) of a chunk that replays the cycle -> its read
     # the chunks a later check reads, as _window takes them: the trend looks
     # back at most _trend_lag(budget + 1) steps
     recent = deque(maxlen=_trend_lag(budget + 1) // ORACLE_CHUNK + 3)
@@ -686,43 +645,30 @@ def empirical_class(
         # a slice, not a copy of the whole walk; the walk goes on past its end
         ratios = values[done + 1 : c + 1]
         # the trend looks back to step c - lag, to the chunk's partial
-        # product of index back where that is one
+        # product of index back where that is one, which its read takes too
         lag = _trend_lag(c + 1)
         back = n - 1 - lag
-        key = None
         if len(ratios) < n:
             # the walk looks for a closed cycle where it starts, and at every
             # _PROBE_STEPS-th step after
             probe = walked is values or c % _PROBE_STEPS == 0
             more, k, stopped = walk_on(params, walked, n - len(ratios), k if k or probe else 0)
-            if k and not ratios:
-                # a chunk of the cycle, whose k floats are distinct: its first
-                # ratio tells its phase
-                key = (n, more[0])
             ratios = walked = [*ratios, *more] if ratios else more
             if stopped:  # at a finite ratio: an inf is followed by nan, which never stops
                 return ITERATION_STOPS
-        # a chunk's read takes that partial product too, unless it is read
-        # for every phase of a cycle
-        first = 0 if key else max(0, back)
-        read = reads.get(key)
-        if read is None:
-            try:
-                read = _chunk_read(ratios, first)
-            except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
-                if 0.0 in ratios:
-                    return ITERATION_STOPS
-                # else the first ratio that is not finite decides: inf overflows
-                # x_n, and from nan no trend can be read
-                lost = next(t for t in ratios if not math.isfinite(t))
-                return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
-            if key:
-                reads[key] = read
-        (lb, lp), negative = read
+        try:
+            (lb, lp), negative = _chunk_read(ratios, max(0, back))
+        except ValueError:  # a 0 stops the walk: x_n = 0, and the next step divides by it
+            if 0.0 in ratios:
+                return ITERATION_STOPS
+            # else the first ratio that is not finite decides: inf overflows
+            # x_n, and from nan no trend can be read
+            lost = next(t for t in ratios if not math.isfinite(t))
+            return UNDETERMINED if math.isnan(lost) else DIVERGES_TO_INFINITY
         last = lm + lp  # log10 |x_c / x_minus1|
         recent.append((done, lm, s, ratios))
         if last > THETA_UP or last < THETA_DOWN:
-            rise = last - (lm + lb if first == back else _log_at(recent, c - lag))
+            rise = last - (lm + lb if back >= 0 else _log_at(recent, c - lag))
             if last > THETA_UP and rise > 0.0:
                 return DIVERGES_TO_INFINITY
             if last < THETA_DOWN and rise < 0.0:

@@ -1288,6 +1288,34 @@ def test_every_scale_of_the_start_gets_one_answer():
     assert classify(NEUTRAL_EXAMPLE, big, 1.5 * big).notes.endswith("oracle=undetermined")
 
 
+def rule_family_or_error(params, x0):
+    """classify's rule family (T1, T2 or oracle), or the type it raised."""
+    try:
+        return classify(params, 1.0, x0).rule.split(".")[0]
+    except (PairingError, RootIsolationError, DegeneracyError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def test_a_conjugate_by_a_power_of_two_walks_and_answers_alike():
+    """Conjugating by t = lambda u, lambda = 2^k, maps (a, b, c, d) to
+    (a / lambda, b / lambda^2, c / lambda^3, d / lambda^4) exactly, and
+    scales every float operation of the ratio step by a power of 2: the walk
+    from t0 / lambda is the walk from t0 divided by lambda, bit for bit,
+    while it stays in the normal floats.  Limits scale by 1 / lambda, and
+    multipliers, periods and closures stay, so classify keeps its rule
+    family.  Only k < 0, where limits grow, holds today: at k = 4 and 10
+    the tolerances with an absolute floor below 1 make hundreds of these
+    inputs raise PairingError (ROADMAP item 17)."""
+    for k in (-4, -10):
+        lam = math.ldexp(1.0, k)
+        for params, x0 in box_inputs(0, 300):
+            conj = Parameters(params.a / lam, params.b / lam**2, params.c / lam**3, params.d / lam**4)
+            walk = iterate_ratio(params, x0, 299).values
+            scaled = iterate_ratio(conj, x0 / lam, 299).values
+            assert [*map(float.hex, scaled)] == [(t / lam).hex() for t in walk], (params, x0, k)
+            assert rule_family_or_error(conj, x0 / lam) == rule_family_or_error(params, x0), (params, x0, k)
+
+
 def probe_calls(monkeypatch):
     """A record of the flip probe's answers, one per call."""
     module = sys.modules["ratiodyn.classify"]

@@ -71,6 +71,12 @@ def test_iterate_ratio_rejects_a_negative_step_count():
             iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.3, n)
         with pytest.raises(ValueError, match="n >= 0"):
             iterate_solution(UNIT_CYCLE_EXAMPLE, 1.0, 1.3, n)
+    # a step count that is not an integer is named, not fed to range()
+    for n in (2.5, 100.0, "3"):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            iterate_ratio(NEUTRAL_EXAMPLE, 1.5, n)
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            iterate_solution(NEUTRAL_EXAMPLE, 1.0, 1.5, n)
     # no steps is the start alone
     traj = iterate_ratio(UNIT_CYCLE_EXAMPLE, 1.3, 0)
     assert (traj.values, traj.status) == ([1.3], COMPLETED)
@@ -297,12 +303,11 @@ def recording_checks(monkeypatch):
     ``("read", len(ratios), first, logs, negative)`` of
     simulate._chunk_read (a chunk's product, with the partial product at
     the step the trend looks back to where that lies in the chunk, or its
-    first), each ``("apart", lm, last three ratios, decision)`` of the
+    first), and each ``("apart", lm, last three ratios, decision)`` of the
     ratio pre-test (simulate._ratios_apart, once per chunk of TAIL_WINDOW
-    ratios or more), and each ``("far", top, last, third, flip)`` of
-    simulate._far, the window's own test, where it still runs."""
+    ratios or more)."""
     module = sys.modules["ratiodyn.simulate"]
-    read, apart, far, seen = module._chunk_read, module._ratios_apart, module._far, []
+    read, apart, seen = module._chunk_read, module._ratios_apart, []
 
     def reading(ratios, first):
         out = read(ratios, first)
@@ -314,19 +319,14 @@ def recording_checks(monkeypatch):
         seen.append(("apart", lm, tuple(ratios[-3:]), out))
         return out
 
-    def recording(top, last, third, flip, tol):
-        seen.append(("far", top, last, third, flip))
-        return far(top, last, third, flip, tol)
-
     monkeypatch.setattr(module, "_chunk_read", reading)
     monkeypatch.setattr(module, "_ratios_apart", pretest)
-    monkeypatch.setattr(module, "_far", recording)
     return seen
 
 
 # (params, x_minus1, x0, budget, tol): Example A, whose every window the
 # pre-test finds apart, and Example B, whose 2-cycle tail it leaves to the
-# window's own test, which settles it at step 512
+# window's spread tests, which settle it at step 512
 READ_ORBITS = [(NEUTRAL_EXAMPLE, 2.0, 3.0, 5000, 1e-8), (UNIT_CYCLE_EXAMPLE, 2.0, 2.6, 5000, 1e-9)]
 
 
@@ -368,19 +368,12 @@ def reads_as_walked(seen, params, xm1, x0, budget, tol):
         assert abs(lm + lb - logs[d + first + 2]) < 1e-11, c
         assert last3 == tuple(walk[c - 2 : c + 1]), c
         assert negative == (signs[c + 1] != signs[d + 1]), c
-    fars = [r for r in alone[1] if r[0] == "far"]
     if params is NEUTRAL_EXAMPLE:
         assert alone[0] == UNDETERMINED and len(tests) == 20
-        assert all(r[3] for r in tests) and fars == []
+        assert all(r[3] for r in tests)
     else:
         assert alone[0] == CONVERGES_TO_TWO_CYCLE and ends[-1] == 512
-        # the window's test runs at the chunk ends the pre-test leaves to it
-        far_ends = [c for c, r in zip(ends, tests) if not r[3]]
-        assert len(fars) == len(far_ends) > 0
-        for c, (_, top, last, third, flip) in zip(far_ends, fars):
-            assert abs(top - max(logs[c - 62 : c + 2])) < 1e-11, c
-            assert abs(last - logs[c + 1]) < 1e-11 and abs(third - logs[c - 1]) < 1e-11, c
-            assert flip == (signs[c + 1] != signs[c - 1]), c
+        assert not tests[-1][3]
     # prefixes that end inside a chunk, on its boundary, and past the
     # budget give the same floats at every check
     for k in (1, 2, 200, 256, 257, 700, budget + 1, budget + 1001):
@@ -618,12 +611,10 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
         return periods[-1]
 
     def answers(params, x0):
-        """The oracle's answers, and what its checks decided from at each
-        chunk end, from starts with t_0 = x0 and from prefixes of the walk
-        that end before it closes, inside an oracle chunk after that, and
-        on a chunk boundary.  A replayed chunk's product is read once per
-        phase, so the products' logs are compared through the log each
-        chunk starts from, which the pre-test records."""
+        """The oracle's answers, and what its checks read and decided from
+        at each chunk end, from starts with t_0 = x0 and from prefixes of
+        the walk that end before it closes, inside an oracle chunk after
+        that, and on a chunk boundary."""
         walk = iterate_ratio(params, x0, 3000).values
         starts = [(1.0, x0, None), (2.0, 2.0 * x0, None), (-1.0, -x0, None)]
         starts += [(1.0, x0, walk[:k]) for k in (20, 2500, 2561)]
@@ -632,16 +623,17 @@ def test_empirical_replay_gives_the_walked_answer(monkeypatch):
             for budget, tol in [(100000, 1e-8), (5000, 1e-15), (20000, 0.0)]:
                 seen.clear()
                 answer = empirical_class(params, xm1, y0, budget, tol, values=values)
-                out.append((answer, [r for r in seen if r[0] != "read"]))
+                out.append((answer, [*seen]))
         return out
 
-    # past closure each chunk phase is read once and replayed; the floats
-    # it reads are those of the walk that applies the map throughout
+    # past closure each chunk is replayed, and read as the chunk of the
+    # walk that applies the map throughout
     monkeypatch.setattr(module, "closed_period", spy)
     replayed = [answers(params, x0) for params, x0, _ in LONG_REPLAYS]
     assert {k for k in periods if k} == {k for _, _, k in LONG_REPLAYS}
-    # the pre-test reads each chunk's start
-    assert any(records for runs in replayed for _, records in runs)
+    # each chunk is read, and the pre-test reads each chunk's start
+    kinds = {r[0] for runs in replayed for _, records in runs for r in records}
+    assert kinds == {"read", "apart"}
     monkeypatch.setattr(module, "closed_period", lambda ratios: None)
     assert [answers(params, x0) for params, x0, _ in LONG_REPLAYS] == replayed
 
@@ -754,22 +746,14 @@ def window_from(xs):
     return [math.log10(abs(x)) for x in xs], [1 if x > 0 else -1 for x in xs]
 
 
-def settles_without_precheck(logs, signs, tol):
-    module = sys.modules["ratiodyn.simulate"]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_apart", lambda logs, signs, tol: False)
-        return module._stabilized(logs, signs, tol)
-
-
 def test_precheck_skips_a_tail_that_moves():
     module = sys.modules["ratiodyn.simulate"]
     cycle = [0.25, 4.0] * (TAIL_WINDOW // 2)
-    assert not module._apart(*window_from(cycle), 1e-9)
     assert module._stabilized(*window_from(cycle), 1e-9) == CONVERGES_TO_TWO_CYCLE
     moving = [1.0 + 1e-6 * k for k in range(TAIL_WINDOW)]
-    assert module._apart(*window_from(moving), 1e-9)
     # the whole window spreads by 6.3e-5, x[-1] and x[-3] by 2e-6
-    assert not module._apart(*window_from(moving), 1e-6)
+    for tol in (1e-9, 1e-6):
+        assert module._stabilized(*window_from(moving), tol) is None
     assert module._stabilized(*window_from(moving), 1e-4) == CONVERGES_TO_EQUILIBRIUM
 
 
@@ -782,48 +766,15 @@ def test_precheck_allows_for_the_rounding_of_pow():
     logs[-3] = l3
     signs = [1] * len(logs)
     module = sys.modules["ratiodyn.simulate"]
-    assert not module._apart(logs, signs, 0.0)
     assert module._stabilized(logs, signs, 0.0) == CONVERGES_TO_EQUILIBRIUM
-
-
-@st.composite
-def near_settling_windows(draw):
-    """(logs, signs, tol) for an equilibrium or 2-cycle window whose halves
-    spread by about tol, from 1e-200 to 1e200 in size, of mixed signs."""
-    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-15, 0.0]))
-    even = draw(st.floats(-200.0, 200.0))
-    # the odd half sits up to 30 decades away, or on the even half
-    odd = min(200.0, max(-200.0, even + draw(st.just(0.0) | st.floats(-30.0, 30.0))))
-    # a spread within 20% of tol, or a wider one that the precheck can skip
-    spread = tol * draw(st.floats(0.8, 1.2) | st.floats(1.2, 4.0))
-    offsets = draw(st.lists(st.floats(-0.5, 0.5), min_size=TAIL_WINDOW, max_size=TAIL_WINDOW))
-    if draw(st.booleans()):  # the extremes at x[-3] and x[-1]
-        offsets[-3], offsets[-1] = draw(st.permutations([-0.5, 0.5]))
-    half_signs = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
-    flipped = draw(st.sets(st.integers(0, TAIL_WINDOW - 1), max_size=2))
-    xs = [
-        half_signs[i % 2] * (-1 if i in flipped else 1)
-        * 10.0 ** (odd if i % 2 else even) * (1.0 + spread * off)
-        for i, off in enumerate(offsets)
-    ]
-    return (*window_from(xs), tol)
-
-
-@given(near_settling_windows())
-@settings(max_examples=400, deadline=None)
-def test_precheck_skips_only_tails_that_cannot_settle(window):
-    logs, signs, tol = window
-    module = sys.modules["ratiodyn.simulate"]
-    if module._apart(logs, signs, tol):
-        assert settles_without_precheck(logs, signs, tol) is None
 
 
 @st.composite
 def near_settling_chunks(draw):
     """(lm, ratios, tol) for a chunk of ORACLE_CHUNK ratios that starts at
     log10 |x| = lm and whose last values near an equilibrium or a 2-cycle,
-    as near_settling_windows, from 1e-200 to 1e200 in size and up to 100
-    decades from |x| at the start, of mixed signs."""
+    with halves that spread by about tol, from 1e-200 to 1e200 in size and
+    up to 100 decades from |x| at the start, of mixed signs."""
     module = sys.modules["ratiodyn.simulate"]
     tol = draw(st.sampled_from([0.1, 1e-6, 1e-9, 1e-15, 0.0]))
     # near 1, where the logs err least and values an ulp apart can convert
@@ -875,7 +826,7 @@ def test_the_ratio_pretest_skips_only_tails_that_cannot_settle(chunk):
     module = sys.modules["ratiodyn.simulate"]
     logs, signs = module._window([(0, lm, 1, ratios)])
     if module._ratios_apart(lm, ratios, tol):
-        assert settles_without_precheck(logs, signs, tol) is None
+        assert module._stabilized(logs, signs, tol) is None
 
 
 def test_a_chunk_read_logs_only_what_a_check_reads(monkeypatch):
